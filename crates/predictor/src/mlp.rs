@@ -15,8 +15,11 @@ pub const INPUT_WIDTH: usize = TOTAL_LAYERS * NUM_OPS;
 
 thread_local! {
     /// Scratch tape reused by the frozen-network query paths (predict /
-    /// gradient). [`Graph::reset`] keeps the node and pool storage warm, so
-    /// repeated queries allocate nothing in steady state.
+    /// gradient). [`Graph::reset`] keeps the node and pool storage warm. The
+    /// graph copies each query's encoding into its own pool and drops the
+    /// caller's buffer, so the pool holds one query's working set however
+    /// many queries the thread has run, and a query costs the same on the
+    /// first call and the millionth.
     static SCRATCH: std::cell::RefCell<(Graph, Bindings)> =
         std::cell::RefCell::new((Graph::new(), Bindings::new()));
 }
@@ -29,6 +32,13 @@ fn with_scratch<R>(f: impl FnOnce(&mut Graph, &mut Bindings) -> R) -> R {
         bind.clear();
         f(g, bind)
     })
+}
+
+/// This thread's scratch tape pool, read after a reset so that every
+/// buffer the last query used is back in it.
+#[cfg(test)]
+fn scratch_pool_stats() -> lightnas_tensor::PoolStats {
+    with_scratch(|g, _| g.pool_stats())
 }
 
 /// Training hyper-parameters of the predictor.
@@ -499,6 +509,49 @@ mod tests {
     fn wrong_input_width_rejected() {
         let (p, _, _) = train_small();
         let _ = p.predict_encoding(&[0.0; 10]);
+    }
+
+    #[test]
+    fn scratch_pool_occupancy_is_fixed_across_queries() {
+        let space = SearchSpace::standard();
+        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, 64, 3);
+        let config = TrainConfig {
+            epochs: 1,
+            batch_size: 32,
+            lr: 1e-3,
+            seed: 0,
+        };
+        let p = MlpPredictor::train(&data, &config);
+        let encodings = data.encodings();
+        let query = |i: usize| {
+            let enc = &encodings[i % encodings.len()];
+            match i % 3 {
+                0 => {
+                    let _ = p.gradient(enc);
+                }
+                1 => {
+                    let _ = p.predict_encoding(enc);
+                }
+                _ => {
+                    let _ = p.predict_batch(&encodings[..8]);
+                }
+            }
+        };
+        let occupancy = || {
+            let s = scratch_pool_stats();
+            (s.buffers, s.retained_bytes)
+        };
+        for i in 0..3 {
+            query(i);
+        }
+        let warm = occupancy();
+        for i in 3..10_000 {
+            query(i);
+            if i % 1000 == 0 {
+                assert_eq!(occupancy(), warm, "call {i}: scratch pool occupancy moved");
+            }
+        }
+        assert_eq!(occupancy(), warm, "scratch pool occupancy moved");
     }
 
     #[test]

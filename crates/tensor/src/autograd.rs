@@ -23,6 +23,18 @@
 //! backing memory comes from — every kernel still writes the same bits in
 //! the same order, so a reused graph produces byte-identical values and
 //! gradients to a freshly constructed one.
+//!
+//! The pool stays balanced: every buffer `reset` returns was taken from
+//! the graph's own pool. Tensors handed in by value ([`Graph::input`],
+//! [`Graph::parameter`], the [`Graph::mse_loss`] target) are copied into
+//! pooled storage and the caller's allocation is dropped, and scalar
+//! results come from the pool too. Repeating the same step therefore
+//! leaves the pool's buffer count and retained bytes unchanged, instead of
+//! growing the free list that every take scans.
+//!
+//! Matmul backward computes an operand's gradient only when that operand
+//! requires one, so an input leaf costs no GEMM for a product that would
+//! be recycled unread.
 
 // Index-based loops over channel/spatial blocks mirror the math and keep
 // offset arithmetic visible; iterator-chain rewrites obscure it.
@@ -138,6 +150,11 @@ fn pooled_full(pool: &mut TensorPool, dims: &[usize], value: f32) -> Tensor {
     Tensor::from_vec(buf, dims)
 }
 
+/// A rank-0 tensor holding `value`, for scalar results (sums and losses).
+fn pooled_scalar(pool: &mut TensorPool, value: f32) -> Tensor {
+    pooled_full(pool, &[], value)
+}
+
 fn pooled_copy(pool: &mut TensorPool, src: &Tensor) -> Tensor {
     pooled_reshaped_copy(pool, src, src.shape().dims())
 }
@@ -241,8 +258,9 @@ impl Graph {
     ///
     /// Every node value, cached backward tensor and gradient is recycled
     /// into the graph's [`TensorPool`], and the node/grad vectors keep their
-    /// capacity. Rebuilding the same computation afterwards draws all of its
-    /// tensors from the pool and produces byte-identical values and
+    /// capacity. Each of those buffers was taken from that pool, so rebuilding
+    /// the same computation afterwards draws all of its tensors from the
+    /// pool without growing it, and produces byte-identical values and
     /// gradients to a fresh graph. All previously issued [`Var`] handles
     /// are invalidated.
     pub fn reset(&mut self) {
@@ -280,8 +298,13 @@ impl Graph {
     }
 
     /// Registers a non-trainable leaf (input data, labels, constants).
+    ///
+    /// `value` is copied into pooled tape storage and then dropped, so
+    /// [`reset`](Graph::reset) hands the pool only buffers taken from it;
+    /// pass a reference to [`input_ref`](Graph::input_ref) when the caller
+    /// keeps the tensor.
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(Op::Input, value, false)
+        self.input_ref(&value)
     }
 
     /// Registers a non-trainable leaf by copying `value` into pooled tape
@@ -293,9 +316,12 @@ impl Graph {
 
     /// Registers a trainable leaf whose gradient is computed by [`backward`].
     ///
+    /// Like [`input`](Graph::input), `value` is copied into pooled tape
+    /// storage and then dropped.
+    ///
     /// [`backward`]: Graph::backward
     pub fn parameter(&mut self, value: Tensor) -> Var {
-        self.push(Op::Parameter, value, true)
+        self.parameter_ref(&value)
     }
 
     /// Registers a trainable leaf by copying `value` into pooled tape
@@ -644,14 +670,16 @@ impl Graph {
 
     /// Sum of all elements (scalar output).
     pub fn sum(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).sum());
+        let Self { nodes, pool, .. } = self;
+        let value = pooled_scalar(pool, node_value(nodes, a).sum());
         let rg = self.rg(a);
         self.push(Op::Sum(a), value, rg)
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).mean());
+        let Self { nodes, pool, .. } = self;
+        let value = pooled_scalar(pool, node_value(nodes, a).mean());
         let rg = self.rg(a);
         self.push(Op::Mean(a), value, rg)
     }
@@ -742,7 +770,7 @@ impl Graph {
                 loss += -(p[i * classes + t].max(1e-12) as f64).ln();
             }
         }
-        let value = Tensor::scalar((loss / n as f64) as f32);
+        let value = pooled_scalar(pool, (loss / n as f64) as f32);
         let rg = self.rg(logits);
         self.push(
             Op::SoftmaxCrossEntropy {
@@ -757,11 +785,15 @@ impl Graph {
 
     /// Mean squared error between `pred` and a constant `target`.
     ///
+    /// The tape keeps `target` for the backward pass as a copy in pooled
+    /// storage; the caller's tensor is dropped.
+    ///
     /// # Panics
     ///
     /// Panics if the shapes differ.
     pub fn mse_loss(&mut self, pred: Var, target: Tensor) -> Var {
-        let pv = self.value(pred);
+        let Self { nodes, pool, .. } = self;
+        let pv = node_value(nodes, pred);
         assert_eq!(
             pv.shape(),
             target.shape(),
@@ -780,7 +812,8 @@ impl Graph {
                 d * d
             })
             .sum();
-        let value = Tensor::scalar(sse / pv.len() as f32);
+        let value = pooled_scalar(pool, sse / pv.len() as f32);
+        let target = pooled_copy(pool, &target);
         let rg = self.rg(pred);
         self.push(Op::MseLoss { pred, target }, value, rg)
     }
@@ -895,18 +928,27 @@ impl Graph {
                     // ga = g · bᵀ and gb = aᵀ · g through the transpose-free
                     // GEMM variants (the transpose folds into packing /
                     // row-tile gathering); bit-identical to
-                    // `matmul(transpose())`. Both buffers are fully
+                    // `matmul(transpose())`. Each runs only when its operand
+                    // requires a gradient: an input batch on the left would
+                    // otherwise cost the step's largest GEMM for a delta
+                    // that is recycled unread. Both buffers are fully
                     // overwritten, so neither needs zeroing.
-                    let mut ga = pool.take_filled(m * k);
-                    matmul_nt_into(g.as_slice(), bv.as_slice(), m, n, k, &mut ga);
-                    let mut gb = pool.take_filled(k * n);
-                    matmul_tn_into(av.as_slice(), g.as_slice(), m, k, n, &mut gb);
-                    Delta::Two(
-                        *a,
-                        Tensor::from_vec(ga, &[m, k]),
-                        *b,
-                        Tensor::from_vec(gb, &[k, n]),
-                    )
+                    let ga = nodes[a.0].requires_grad.then(|| {
+                        let mut ga = pool.take_filled(m * k);
+                        matmul_nt_into(g.as_slice(), bv.as_slice(), m, n, k, &mut ga);
+                        Tensor::from_vec(ga, &[m, k])
+                    });
+                    let gb = nodes[b.0].requires_grad.then(|| {
+                        let mut gb = pool.take_filled(k * n);
+                        matmul_tn_into(av.as_slice(), g.as_slice(), m, k, n, &mut gb);
+                        Tensor::from_vec(gb, &[k, n])
+                    });
+                    match (ga, gb) {
+                        (Some(ga), Some(gb)) => Delta::Two(*a, ga, *b, gb),
+                        (Some(ga), None) => Delta::One(*a, ga),
+                        (None, Some(gb)) => Delta::One(*b, gb),
+                        (None, None) => Delta::None,
+                    }
                 }
                 Op::Relu(a) => {
                     let ga = pooled_zip(pool, g, node_value(nodes, *a), "mul", |gi, x| {
@@ -1321,6 +1363,76 @@ mod tests {
             "second step must be served from the tape pool (hits {} -> {})",
             before.hits,
             after.hits
+        );
+    }
+
+    /// One step over every leaf and scalar-producing op that takes or
+    /// returns an owned tensor, plus a matmul with an input operand.
+    fn owned_leaf_step(g: &mut Graph) {
+        let x = g.input(Tensor::uniform(&[6, 5], -1.0, 1.0, 21));
+        let w = g.parameter(Tensor::uniform(&[5, 4], -1.0, 1.0, 22));
+        let h = g.matmul(x, w);
+        let ce = g.softmax_cross_entropy(h, &[0, 1, 2, 3, 0, 1]);
+        let mse = g.mse_loss(h, Tensor::uniform(&[6, 4], -1.0, 1.0, 23));
+        let total = g.sum(h);
+        let avg = g.mean(h);
+        let losses = g.add(ce, mse);
+        let moments = g.add(total, avg);
+        let loss = g.add(losses, moments);
+        g.backward(loss);
+    }
+
+    #[test]
+    fn repeated_steps_leave_the_pool_unchanged() {
+        let occupancy = |g: &Graph| {
+            let s = g.pool_stats();
+            (s.buffers, s.retained_bytes, s.misses)
+        };
+        let mut g = Graph::new();
+        owned_leaf_step(&mut g);
+        let warm = occupancy(&g);
+        for step in 0..100 {
+            g.reset();
+            owned_leaf_step(&mut g);
+            assert_eq!(
+                occupancy(&g),
+                warm,
+                "step {step}: (buffers, retained bytes, misses) moved after warm-up"
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_backward_skips_the_input_operand_gemm() {
+        let xs = Tensor::uniform(&[7, 5], -1.0, 1.0, 31);
+        let ws = Tensor::uniform(&[5, 3], -1.0, 1.0, 32);
+        // Pool takes made by `backward`, and the weight gradient's bits.
+        let run = |lhs_is_parameter: bool| -> (u64, Vec<u32>) {
+            let mut g = Graph::new();
+            let x = if lhs_is_parameter {
+                g.parameter(xs.clone())
+            } else {
+                g.input(xs.clone())
+            };
+            let w = g.parameter(ws.clone());
+            let y = g.matmul(x, w);
+            let loss = g.sum(y);
+            let before = g.pool_stats();
+            g.backward(loss);
+            let after = g.pool_stats();
+            let takes = (after.hits + after.misses) - (before.hits + before.misses);
+            let bits = g.grad(w).as_slice().iter().map(|v| v.to_bits()).collect();
+            (takes, bits)
+        };
+        let (input_takes, input_bits) = run(false);
+        let (param_takes, param_bits) = run(true);
+        // The loss seed and the sum's broadcast take one buffer each; the
+        // matmul takes one GEMM output per operand that requires a gradient.
+        assert_eq!(input_takes, 3, "an input lhs must cost one GEMM output");
+        assert_eq!(param_takes, 4, "a parameter lhs costs two GEMM outputs");
+        assert_eq!(
+            input_bits, param_bits,
+            "skipping the lhs GEMM must not move the weight gradient"
         );
     }
 

@@ -69,8 +69,9 @@ pub fn init_threads_from_env() -> usize {
 /// Retention is bounded in **bytes**, not buffer count: recycling past the
 /// cap evicts the smallest buffers first (the cheapest to re-allocate),
 /// and a single buffer larger than the cap is dropped outright. The cap
-/// defaults to 64 MiB and can be tuned with `LIGHTNAS_POOL_CAP_BYTES`
-/// ([`POOL_CAP_ENV`]).
+/// is 64 MiB unless set with [`TensorPool::with_cap`]; a balanced user
+/// (every recycled buffer was taken from the same pool) never reaches it,
+/// because its occupancy is bounded by one step's working set.
 pub struct TensorPool {
     free: Vec<Vec<f32>>,
     cap_bytes: usize,
@@ -78,10 +79,6 @@ pub struct TensorPool {
     hits: u64,
     misses: u64,
 }
-
-/// Environment variable overriding the default retained-bytes cap of every
-/// pool created after the change (existing pools keep their cap).
-pub const POOL_CAP_ENV: &str = "LIGHTNAS_POOL_CAP_BYTES";
 
 /// Default retained-bytes cap: 64 MiB, comfortably above the steady-state
 /// footprint of a supernet training step, far below memory pressure.
@@ -109,14 +106,9 @@ impl Default for TensorPool {
 }
 
 impl TensorPool {
-    /// An empty pool with the cap from `LIGHTNAS_POOL_CAP_BYTES` (default
-    /// 64 MiB).
+    /// An empty pool with the default 64 MiB cap.
     pub fn new() -> Self {
-        let cap = std::env::var(POOL_CAP_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_POOL_CAP_BYTES);
-        Self::with_cap(cap)
+        Self::with_cap(DEFAULT_POOL_CAP_BYTES)
     }
 
     /// An empty pool with an explicit retained-bytes cap.

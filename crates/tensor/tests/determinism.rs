@@ -8,9 +8,11 @@
 //!    forever. A mismatch means the byte-identical checkpoint invariant is
 //!    broken, not that the constants are stale.
 //! 2. **Thread-count invariance** — the same operations at 1, 2 and 4
-//!    threads must agree to the bit. Tests that mutate the process-wide
-//!    thread knob serialize through a mutex so they never observe each
-//!    other's setting.
+//!    threads must agree to the bit. Tests that set a process-wide kernel
+//!    knob (threads, SIMD, mode) serialize through a mutex so they never
+//!    observe each other's setting, and so do tests whose output bits those
+//!    knobs would change: a fast-mode excursion in a parallel test would
+//!    otherwise move their fingerprints.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -19,7 +21,7 @@ use lightnas_tensor::{
     Tensor,
 };
 
-/// Serializes tests that touch the global thread knob.
+/// Serializes tests that set the global kernel knobs or depend on them.
 fn knob_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -52,6 +54,7 @@ fn conv_operands() -> (Tensor, Tensor) {
 
 #[test]
 fn matmul_reproduces_pre_rewrite_bits() {
+    let _guard = knob_lock().lock().unwrap();
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
     let b = Tensor::uniform(&[53, 29], -1.0, 1.0, 102);
     assert_eq!(fnv(a.matmul(&b).as_slice()), 0xc0cf_2e2b_448b_1ec1);
@@ -62,6 +65,7 @@ fn matmul_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_forward_reproduces_pre_rewrite_bits() {
+    let _guard = knob_lock().lock().unwrap();
     let (x, w) = conv_operands();
     // The naive reference and the im2col path produced identical bits even
     // before the rewrite; both entry points must still land on them.
@@ -77,6 +81,7 @@ fn conv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn dwconv_forward_reproduces_pre_rewrite_bits() {
+    let _guard = knob_lock().lock().unwrap();
     let (x, _) = conv_operands();
     let dw = Tensor::uniform(&[8, 1, 3, 3], -0.5, 0.5, 107);
     assert_eq!(
@@ -87,6 +92,7 @@ fn dwconv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_backward_reproduces_pre_rewrite_bits() {
+    let _guard = knob_lock().lock().unwrap();
     let (x, w) = conv_operands();
     let g = Tensor::uniform(&[2, 16, 14, 14], -1.0, 1.0, 108);
     let (gx, gw) = conv2d_backward(&x, &w, spec311(), &g);
@@ -210,6 +216,7 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
 fn reused_graph_matches_fresh_graph_over_many_steps() {
     // 100 training steps on one reset-reused tape must produce exactly the
     // bytes of 100 steps on fresh tapes: pooled buffers carry no history.
+    let _guard = knob_lock().lock().unwrap();
     use lightnas_tensor::Graph;
     let spec = spec311();
     let steps = 100;
@@ -290,6 +297,7 @@ fn env_knob_parses_and_applies() {
 
 #[test]
 fn default_kernel_mode_is_strict() {
+    let _guard = knob_lock().lock().unwrap();
     // The two-tier contract: fast mode is *opt-in*. A process that never
     // touches the mode knob (this test binary doesn't) must run strict and
     // keep reproducing the pre-rewrite fingerprints above — that is the
