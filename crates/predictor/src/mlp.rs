@@ -95,10 +95,16 @@ fn fit(
     let mut opt = Adam::new(config.lr, 1e-5);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
     let mut order: Vec<usize> = (0..n).collect();
-    // One tape for the whole run: `reset` between steps keeps node and
-    // buffer capacity, so steady-state steps allocate nothing.
+    // One tape and one input-batch buffer for the whole run: `reset` keeps
+    // the tape's node and pooled buffer capacity, and the batch is refilled
+    // in place (the tape copies it into pooled storage), so a steady-state
+    // step allocates no tensor storage. It still allocates the target
+    // vector (one `f32` per row) and a small shape vector for each tensor
+    // it creates: the batch and target wrappers and every node value and
+    // gradient on the tape.
     let mut g = Graph::new();
     let mut bind = Bindings::new();
+    let mut x = Vec::with_capacity(config.batch_size.min(n) * INPUT_WIDTH);
     for _ in 0..config.epochs {
         // Fisher-Yates shuffle per epoch.
         for i in (1..n).rev() {
@@ -107,7 +113,7 @@ fn fit(
         }
         for chunk in order.chunks(config.batch_size) {
             let b = chunk.len();
-            let mut x = Vec::with_capacity(b * INPUT_WIDTH);
+            x.clear();
             let mut y = Vec::with_capacity(b);
             for &i in chunk {
                 x.extend_from_slice(&train.encodings()[i]);
@@ -115,7 +121,9 @@ fn fit(
             }
             g.reset();
             bind.clear();
-            let xv = g.input(Tensor::from_vec(x, &[b, INPUT_WIDTH]));
+            let batch = Tensor::from_vec(std::mem::take(&mut x), &[b, INPUT_WIDTH]);
+            let xv = g.input_ref(&batch);
+            x = batch.into_vec();
             let pred = mlp.forward(&mut g, &mut bind, store, xv);
             let loss = g.mse_loss(pred, Tensor::from_vec(y, &[b, 1]));
             g.backward(loss);

@@ -16,23 +16,31 @@
 //!    `k`-range and the partials are summed in ascending range order. Thread
 //!    counts finally *scale* on skinny outputs, at the price of a reduction
 //!    tree whose error is bounded (and tested) rather than zero.
-//! 3. **Per-shape tile autotuning** — on CPUs offering both tiles, the first
-//!    call for a `(m, k, n)` runs each candidate once back-to-back on the
-//!    live operands, keeps the faster, and caches the choice for the process
-//!    lifetime (bounded map, no eviction). Which tile wins is
-//!    shape-dependent: the 8×32 tile amortizes better on wide outputs, the
-//!    4×16 tile wastes less on narrow ones.
+//! 3. **Per-shape kernel autotuning** — when a shape has more than one
+//!    candidate, the first call for a `(m, k, n)` runs each candidate once
+//!    back-to-back on the live operands, keeps the fastest, and caches the
+//!    choice for the process lifetime (bounded map, no eviction). The
+//!    candidates are the tiles the CPU has and, when the left operand is
+//!    sparse enough for the strict tier's sparse dispatch, the strict
+//!    zero-skipping kernel ([`crate::kernels`]); sparse and dense operands
+//!    of one shape are tuned apart. Which kernel wins is shape-dependent:
+//!    the 8×32 tile amortizes better on wide outputs, the 4×16 tile wastes
+//!    less on narrow ones, and the zero-skipping kernel beats both on wide
+//!    outputs of a sparse operand but loses to them on narrow ones.
 //!
-//! Within one process and shape the fast path is deterministic after the
-//! first (tuning) call; across processes, CPUs, thread counts or modes only
-//! the tolerance contract in [`crate::tolerance`] holds.
+//! Within one process, shape and sparsity class the fast path is
+//! deterministic after the first (tuning) call; across processes, CPUs,
+//! thread counts or modes only the tolerance contract in
+//! [`crate::tolerance`] holds.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
-use crate::kernels::{num_threads, par_chunks, with_pool, PAR_MIN_FLOPS};
+use crate::kernels::{
+    gemm_sparse, num_threads, par_chunks, sparse_nonzeros, with_pool, PAR_MIN_FLOPS,
+};
 
 /// Fast-tier GEMM micro-tile shapes (output rows × packed panel width).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +74,14 @@ impl FastTile {
     }
 }
 
+/// A kernel the autotuner can pick: an FMA tile, or the strict
+/// zero-skipping kernel, offered only for a sparse left operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Candidate {
+    Tile(FastTile),
+    Sparse,
+}
+
 /// Scratch tile large enough for either micro-tile (8 rows × 32 columns).
 const SCRATCH_LEN: usize = 8 * 32;
 
@@ -85,11 +101,12 @@ const OVERRIDE_AVX512: u8 = 2;
 /// suite can exercise each tile deterministically.
 static TILE_OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_NONE);
 
-/// Autotune cache key: the (m, k, n) of a GEMM call.
-type GemmShape = (usize, usize, usize);
+/// Autotune cache key: the (m, k, n) of a GEMM call and whether its left
+/// operand was offered the zero-skipping kernel.
+type TuneKey = (usize, usize, usize, bool);
 
-/// Per-shape tile choices made by the first (timed) call.
-static TUNE: LazyLock<Mutex<HashMap<GemmShape, FastTile>>> =
+/// Per-shape kernel choices made by the first (timed) call.
+static TUNE: LazyLock<Mutex<HashMap<TuneKey, Candidate>>> =
     LazyLock::new(|| Mutex::new(HashMap::new()));
 
 /// Pins (or unpins) the fast-tier micro-tile for the whole process. A pinned
@@ -113,28 +130,31 @@ pub fn fast_tile_override() -> Option<FastTile> {
     }
 }
 
-/// Runs `run` with the tile chosen for this shape: the pinned override if
+/// Runs `run` with the kernel chosen for this shape: the pinned tile if
 /// usable, the cached autotune winner, or — on the first sight of a shape
-/// with two usable candidates — each candidate once, timed, caching the
-/// faster (the output keeps the *last* candidate's bits; both satisfy the
-/// tolerance contract).
-fn with_tuned_tile(m: usize, k: usize, n: usize, mut run: impl FnMut(FastTile)) {
+/// with more than one candidate — each candidate once, timed, caching the
+/// fastest (the output keeps the *last* candidate's bits; all satisfy the
+/// tolerance contract). `sparse` adds the zero-skipping kernel to the
+/// candidates.
+fn with_tuned_kernel(m: usize, k: usize, n: usize, sparse: bool, mut run: impl FnMut(Candidate)) {
     if let Some(t) = fast_tile_override() {
         if t.available() {
-            run(t);
+            run(Candidate::Tile(t));
             return;
         }
     }
-    let candidates: Vec<FastTile> = [FastTile::Avx512f8x32, FastTile::Avx2Fma4x16]
+    let candidates: Vec<Candidate> = [FastTile::Avx512f8x32, FastTile::Avx2Fma4x16]
         .into_iter()
         .filter(|t| t.available())
+        .map(Candidate::Tile)
+        .chain(sparse.then_some(Candidate::Sparse))
         .collect();
     debug_assert!(!candidates.is_empty(), "fast path dispatched without FMA");
     if candidates.len() == 1 {
         run(candidates[0]);
         return;
     }
-    let key = (m, k, n);
+    let key = (m, k, n, sparse);
     let cached = {
         let map = TUNE.lock().unwrap_or_else(|e| e.into_inner());
         map.get(&key).copied()
@@ -173,7 +193,8 @@ pub(crate) fn matmul_fast(
     if !crate::mode::fast_active() || m < MIN_FAST_ROWS {
         return false;
     }
-    fast_gemm(a, m, k, n, out, |width, packed| {
+    let sparse = sparse_nonzeros(a, n).map(|nonzeros| (b, nonzeros));
+    fast_gemm(a, m, k, n, out, sparse, |width, packed| {
         crate::kernels::pack_panels(b, k, n, width, true, packed);
     });
     true
@@ -192,7 +213,7 @@ pub(crate) fn matmul_nt_fast(
     if !crate::mode::fast_active() || m < MIN_FAST_ROWS {
         return false;
     }
-    fast_gemm(a, m, d, n, out, |width, packed| {
+    fast_gemm(a, m, d, n, out, None, |width, packed| {
         crate::kernels::pack_panels_t(b, d, n, width, true, packed);
     });
     true
@@ -215,7 +236,8 @@ pub(crate) fn matmul_tn_fast(
     }
     let mut at = with_pool(|pool| pool.take_filled(d * m));
     crate::kernels::transpose_into(a, d, m, &mut at);
-    fast_gemm(&at, m, d, n, out, |width, packed| {
+    let sparse = sparse_nonzeros(a, n).map(|nonzeros| (b, nonzeros));
+    fast_gemm(&at, m, d, n, out, sparse, |width, packed| {
         crate::kernels::pack_panels(b, d, n, width, true, packed);
     });
     with_pool(|pool| pool.recycle(at));
@@ -225,16 +247,27 @@ pub(crate) fn matmul_tn_fast(
 /// The shared fast driver: packs B at the tile's width, then partitions —
 /// over output rows when every thread can own full row blocks, over the
 /// reduction dimension (per-thread partial sums) when the output is too
-/// short, serial below the parallel threshold.
+/// short, serial below the parallel threshold. `sparse` holds the
+/// row-major `[k, n]` right operand and the left operand's nonzero count
+/// when the left operand qualifies for the zero-skipping kernel.
 fn fast_gemm(
     a: &[f32],
     m: usize,
     k: usize,
     n: usize,
     out: &mut [f32],
+    sparse: Option<(&[f32], usize)>,
     pack: impl Fn(usize, &mut Vec<f32>),
 ) {
-    with_tuned_tile(m, k, n, |tile| {
+    with_tuned_kernel(m, k, n, sparse.is_some(), |candidate| {
+        let tile = match (candidate, sparse) {
+            (Candidate::Tile(tile), _) => tile,
+            (Candidate::Sparse, Some((b, nonzeros))) => {
+                gemm_sparse(a, b, k, n, nonzeros, true, out);
+                return;
+            }
+            (Candidate::Sparse, None) => unreachable!("zero-skipping kernel without a sparse lhs"),
+        };
         let (mr, width) = (tile.mr(), tile.width());
         let mut packed = with_pool(|pool| pool.take(k * n.next_multiple_of(width)));
         pack(width, &mut packed);
@@ -386,8 +419,13 @@ fn run_tile(
 mod tests {
     use super::*;
 
+    /// Serializes the tests that pin or depend on the process-wide tile
+    /// override.
+    static OVERRIDE: Mutex<()> = Mutex::new(());
+
     #[test]
     fn override_round_trips() {
+        let _guard = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
         let before = fast_tile_override();
         set_fast_tile_override(Some(FastTile::Avx512f8x32));
         assert_eq!(fast_tile_override(), Some(FastTile::Avx512f8x32));
@@ -396,6 +434,26 @@ mod tests {
         set_fast_tile_override(None);
         assert_eq!(fast_tile_override(), None);
         set_fast_tile_override(before);
+    }
+
+    #[test]
+    fn sparse_operands_add_the_zero_skipping_kernel_and_tune_apart() {
+        let _guard = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+        if !crate::simd::fma_available() {
+            return;
+        }
+        // A shape no other test uses, so its first sight tunes here.
+        let (m, k, n) = (5, 3, 1_000_003);
+        let mut ran = Vec::new();
+        with_tuned_kernel(m, k, n, false, |c| ran.push(c));
+        assert!(!ran.contains(&Candidate::Sparse), "dense operand: {ran:?}");
+        ran.clear();
+        with_tuned_kernel(m, k, n, true, |c| ran.push(c));
+        assert!(ran.contains(&Candidate::Sparse), "sparse operand: {ran:?}");
+        assert!(ran.len() >= 2, "a tile and the sparse kernel are timed");
+        ran.clear();
+        with_tuned_kernel(m, k, n, true, |c| ran.push(c));
+        assert_eq!(ran.len(), 1, "the sparse class's winner is cached");
     }
 
     #[test]

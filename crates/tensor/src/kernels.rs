@@ -16,6 +16,29 @@
 //! reductions, or FMA contraction — each of those changes rounding and would
 //! break the repo-wide byte-identical checkpoint invariant.
 //!
+//! **Sparse dispatch.** On the strict tier, once the fast-tier hook has
+//! declined, [`matmul_into`] and [`matmul_tn_into`] count the left operand's
+//! nonzero entries in one vectorized pass that stops as soon as the count
+//! passes a quarter of them. When at most a quarter are nonzero and the
+//! output is at least 32 columns wide, the product runs the zero-skipping row
+//! kernel instead of the packed tiles: its AVX2 body in the `simd` module,
+//! which keeps each output row's accumulators in registers, or the axpy loop
+//! with SIMD off; `matmul_tn_into` first transposes its left operand into a
+//! pooled buffer. Both limits are
+//! constants (DESIGN.md §8 has the measurements), never knobs. Skipping a
+//! zero term moves no bit: every accumulator starts at `+0.0`, and with a
+//! finite right operand the skipped term is `±0.0`, which cannot change an
+//! accumulator that started at `+0.0` (it can never have become `−0.0`) — the
+//! rule the skinny axpy path and the [`matmul_ref`] oracle already rely on.
+//! The predictor fit's one-hot input batch (22 of 154 entries nonzero) takes
+//! this path in `x·W1` and `xᵀ·g`; its first hidden layer's ReLU output, more
+//! than half nonzero, stays packed. The fast tier runs the same count in
+//! [`crate::fastpath`] and, for an operand that passes it, adds this kernel
+//! to the candidates its per-shape autotuner times against the FMA tiles:
+//! those cost about half as much per term as the strict tiles, so the exact
+//! kernel beats them on wide outputs and loses on narrow ones, and timing
+//! picks between them without a second constant.
+//!
 //! The thread count is a process-wide knob ([`set_num_threads`], default 1 =
 //! serial). It is intentionally *not* part of
 //! [`SearchConfig`](../../lightnas/struct.SearchConfig.html) or any
@@ -277,6 +300,16 @@ const JR_SIMD: usize = 16;
 const PACK_MIN_FLOPS: usize = 1 << 12;
 /// Below this many multiply-adds threading costs more than it saves.
 pub(crate) const PAR_MIN_FLOPS: usize = 1 << 21;
+/// A strict product whose left operand has at most one nonzero entry in
+/// this many takes the zero-skipping kernel instead of the packed one.
+/// A quarter sits below the AVX2 body's measured crossover (DESIGN.md §8).
+const SPARSE_DIVISOR: usize = 4;
+/// Narrower outputs stay packed whatever the density: the zero-skipping
+/// kernel pays a per-row cost to find a row's nonzeros, which 16- and
+/// 24-column outputs did not earn back (DESIGN.md §8).
+const SPARSE_MIN_COLS: usize = 32;
+/// Entries counted between early-exit checks of [`sparse_nonzeros`].
+const COUNT_CHUNK: usize = 1024;
 
 /// `out = a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`).
 ///
@@ -307,6 +340,10 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         return;
     }
     if crate::fastpath::matmul_fast(a, b, m, k, n, out) {
+        return;
+    }
+    if let Some(nonzeros) = sparse_nonzeros(a, n) {
+        gemm_sparse(a, b, k, n, nonzeros, use_simd, out);
         return;
     }
     let threads = if flops < PAR_MIN_FLOPS {
@@ -409,6 +446,15 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
         return;
     }
     let use_simd = crate::simd::simd_enabled();
+    if let Some(nonzeros) = sparse_nonzeros(a, n) {
+        // The zero-skipping kernel walks rows of the left operand, so aᵀ
+        // is materialized once (a pure permutation: no bit can move).
+        let mut at = with_pool(|pool| pool.take_filled(d * m));
+        transpose_into(a, d, m, &mut at);
+        gemm_sparse(&at, b, d, n, nonzeros, use_simd, out);
+        with_pool(|pool| pool.recycle(at));
+        return;
+    }
     let threads = if flops < PAR_MIN_FLOPS {
         1
     } else {
@@ -639,7 +685,8 @@ fn micro_tile_edge(
 }
 
 /// The unpacked row-streaming (axpy) GEMM used for skinny / tiny products,
-/// e.g. the `[1, 154]` predictor queries. Same accumulation order as the
+/// e.g. the `[1, 154]` predictor queries, and as the portable body of the
+/// sparse dispatch ([`gemm_sparse`]). Same accumulation order as the
 /// packed kernel: ascending `p` per output element. The row update
 /// vectorizes across columns when `use_simd` is set — identical bits, see
 /// [`crate::simd`].
@@ -676,6 +723,59 @@ fn gemm_axpy(
             }
         }
     }
+}
+
+/// The number of nonzero entries of the left operand `a` when its product
+/// takes the zero-skipping kernel — an output at least [`SPARSE_MIN_COLS`]
+/// wide and at most one nonzero entry of `a` in [`SPARSE_DIVISOR`] — and
+/// `None` otherwise. The count stops as soon as it passes that cutoff, so a
+/// dense operand costs a fraction of one pass. The per-chunk count is a
+/// branch-free compare-and-add the compiler vectorizes. `NaN != 0.0`, so
+/// NaNs count as nonzero.
+pub(crate) fn sparse_nonzeros(a: &[f32], n: usize) -> Option<usize> {
+    if n < SPARSE_MIN_COLS {
+        return None;
+    }
+    let cutoff = a.len() / SPARSE_DIVISOR;
+    let mut nonzeros = 0;
+    for chunk in a.chunks(COUNT_CHUNK) {
+        nonzeros += chunk.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize;
+        if nonzeros > cutoff {
+            return None;
+        }
+    }
+    Some(nonzeros)
+}
+
+/// The strict zero-skipping GEMM `out = a · b` for a sparse `a` (`[m, k]`,
+/// `nonzeros` of its entries nonzero), split by output rows like the packed
+/// path. Each chunk of rows runs [`crate::simd::sparse_rows`] (accumulators
+/// in registers) or, with SIMD off, [`gemm_axpy`]; both add `a[i][p]·b[p][j]`
+/// only for nonzero `a[i][p]`, in ascending `p`, from `+0.0` — the packed
+/// kernel's chain without its `±0.0` terms, so the bits match it.
+pub(crate) fn gemm_sparse(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    nonzeros: usize,
+    use_simd: bool,
+    out: &mut [f32],
+) {
+    let m = out.len() / n;
+    let threads = if nonzeros * n < PAR_MIN_FLOPS {
+        1
+    } else {
+        num_threads()
+    };
+    let rows_per = m.div_ceil(threads.clamp(1, m));
+    par_chunks(out, rows_per * n, threads, |gi, chunk| {
+        let first = gi * rows_per;
+        let rows = &a[first * k..(first + chunk.len() / n) * k];
+        if !crate::simd::sparse_rows(use_simd, rows, k, b, n, chunk) {
+            gemm_axpy(a, b, k, n, first, false, chunk);
+        }
+    });
 }
 
 /// Hyper-parameters for one [`adam_update`] call. `s1`/`s2` are the
@@ -982,6 +1082,164 @@ mod tests {
         let (tn4, nt4) = &runs[1];
         assert!(tn1.iter().zip(tn4).all(|(x, y)| x.to_bits() == y.to_bits()));
         assert!(nt1.iter().zip(nt4).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    /// `false`, plus `true` where the CPU has the SIMD kernels. Passed to
+    /// the kernels directly, so no test flips the process-wide switch.
+    fn simd_flags() -> Vec<bool> {
+        let mut flags = vec![false];
+        if crate::simd::detect() {
+            flags.push(true);
+        }
+        flags
+    }
+
+    /// The strict packed path on `a · b` whatever the operand's density:
+    /// the chain the zero-skipping kernel must reproduce bit for bit.
+    fn packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, use_simd: bool) -> Vec<f32> {
+        let width = if use_simd { JR_SIMD } else { JR };
+        let mut panels = Vec::new();
+        pack_panels(b, k, n, width, use_simd, &mut panels);
+        let mut out = vec![f32::NAN; m * n];
+        gemm_packed(a, &panels, k, n, 0, width, use_simd, &mut out);
+        out
+    }
+
+    /// The zero-skipping kernel on `a · b`, called directly.
+    fn sparse(a: &[f32], b: &[f32], k: usize, n: usize, use_simd: bool) -> Vec<f32> {
+        let nonzeros = a.iter().filter(|&&v| v != 0.0).count();
+        let mut out = vec![f32::NAN; a.len() / k * n];
+        gemm_sparse(a, b, k, n, nonzeros, use_simd, &mut out);
+        out
+    }
+
+    /// `m` one-hot rows in the search's layout: 22 layers of 7 ops.
+    fn one_hot(m: usize) -> Vec<f32> {
+        let k = 22 * 7;
+        let mut a = vec![0.0f32; m * k];
+        for i in 0..m {
+            for layer in 0..22 {
+                a[i * k + layer * 7 + (i * 5 + layer * 3) % 7] = 1.0;
+            }
+        }
+        a
+    }
+
+    /// Asserts the zero-skipping kernel, the packed path and `matmul_ref`
+    /// agree bit for bit on `a · b` with SIMD on and off.
+    fn assert_sparse_matches_packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+        let want = matmul_ref(
+            &Tensor::from_vec(a.to_vec(), &[m, k]),
+            &Tensor::from_vec(b.to_vec(), &[k, n]),
+        );
+        for use_simd in simd_flags() {
+            let what = format!("{m}x{k}x{n} simd={use_simd}");
+            let got = sparse(a, b, k, n, use_simd);
+            assert_bits_eq(&got, &packed(a, b, m, k, n, use_simd), &what);
+            assert_bits_eq(&got, want.as_slice(), &what);
+        }
+    }
+
+    #[test]
+    fn sparse_gemm_stores_the_packed_paths_positive_zero() {
+        // A one-hot row times an all-(−0.0) column: every product is −0.0,
+        // and +0.0 + −0.0 = +0.0. A kernel that seeded its accumulator
+        // with the first product instead of +0.0 would store −0.0.
+        let (m, k, n) = (8, 154, 37);
+        let a = one_hot(m);
+        let mut b = Tensor::uniform(&[k, n], -1.0, 1.0, 31).as_slice().to_vec();
+        for p in 0..k {
+            b[p * n + 5] = -0.0;
+        }
+        assert!(
+            sparse_nonzeros(&a, n).is_some(),
+            "one-hot rows take the sparse path"
+        );
+        for use_simd in simd_flags() {
+            let got = sparse(&a, &b, k, n, use_simd);
+            for i in 0..m {
+                assert_eq!(got[i * n + 5].to_bits(), 0, "row {i} simd={use_simd}");
+            }
+        }
+        assert_sparse_matches_packed(&a, &b, m, k, n);
+        let mut dispatched = vec![f32::NAN; m * n];
+        matmul_into(&a, &b, m, k, n, &mut dispatched);
+        assert_bits_eq(&dispatched, &packed(&a, &b, m, k, n, false), "dispatch");
+    }
+
+    #[test]
+    fn sparse_gemm_writes_positive_zeros_for_all_zero_rows() {
+        let (m, k, n) = (6, 154, 37);
+        let mut a = one_hot(m);
+        for i in [0, 3, 5] {
+            for p in 0..k {
+                a[i * k + p] = if p % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 32);
+        for use_simd in simd_flags() {
+            let got = sparse(&a, b.as_slice(), k, n, use_simd);
+            for i in [0, 3, 5] {
+                assert!(
+                    got[i * n..(i + 1) * n].iter().all(|v| v.to_bits() == 0),
+                    "zero row {i} must store +0.0 (simd={use_simd})"
+                );
+            }
+        }
+        assert_sparse_matches_packed(&a, b.as_slice(), m, k, n);
+    }
+
+    #[test]
+    fn sparse_gemm_matches_packed_bits_across_row_counts_and_widths() {
+        // Widths off every vector and block multiple (8, 16, 64, 128) and
+        // on them; a depth past one 64-entry stretch with a ragged end.
+        for m in [4, 5, 256] {
+            for n in [1, 7, 13, 64, 100, 128, 137] {
+                let a = one_hot(m);
+                let b = Tensor::uniform(&[154, n], -1.0, 1.0, (m * 1000 + n) as u64);
+                assert_sparse_matches_packed(&a, b.as_slice(), m, 154, n);
+            }
+        }
+        let (m, k, n) = (9, 300, 45);
+        let mut a = Tensor::uniform(&[m, k], -1.0, 1.0, 33).as_slice().to_vec();
+        for (i, v) in a.iter_mut().enumerate() {
+            if i % 5 != 0 {
+                *v = 0.0;
+            }
+        }
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 34);
+        assert_sparse_matches_packed(&a, b.as_slice(), m, k, n);
+    }
+
+    #[test]
+    fn sparse_dispatch_takes_operands_up_to_a_quarter_nonzero() {
+        let (m, k, n) = (16, 40, 40);
+        let cutoff = m * k / SPARSE_DIVISOR;
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 35);
+        for (nonzeros, sparse_path) in [(cutoff, true), (cutoff + 1, false)] {
+            // Nonzeros spread over every row, the rest ±0.0.
+            let mut a = vec![-0.0f32; m * k];
+            for t in 0..nonzeros {
+                a[(t * 7) % (m * k)] = 0.5 + t as f32 / 64.0;
+            }
+            assert_eq!(sparse_nonzeros(&a, n).is_some(), sparse_path, "{nonzeros}");
+            assert_eq!(
+                sparse_nonzeros(&a, SPARSE_MIN_COLS - 1),
+                None,
+                "narrow output"
+            );
+            let mut got = vec![f32::NAN; m * n];
+            matmul_into(&a, b.as_slice(), m, k, n, &mut got);
+            let want = matmul_ref(&Tensor::from_vec(a.clone(), &[m, k]), &b);
+            assert_bits_eq(&got, want.as_slice(), &format!("{nonzeros} nonzeros"));
+            assert_sparse_matches_packed(&a, b.as_slice(), m, k, n);
+        }
+        assert_eq!(
+            sparse_nonzeros(&[1.0; 4096], n),
+            None,
+            "dense operands stop early"
+        );
+        assert_eq!(sparse_nonzeros(&[f32::NAN, 0.0, 0.0, 0.0], n), Some(1));
     }
 
     #[test]

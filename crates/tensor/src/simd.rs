@@ -8,7 +8,11 @@
 //! 754 single precision. FMA is deliberately **never** emitted on this tier
 //! (the `target_feature` enables only `avx2`, and the intrinsics used are
 //! plain mul/add): contracting the two roundings into one would change bits
-//! and break the strict determinism contract.
+//! and break the strict determinism contract. Every strict kernel is AVX2,
+//! the zero-skipping row kernel ([`sparse_rows`]) behind the sparse dispatch
+//! in [`crate::kernels`] included: it keeps one register accumulator per
+//! output element that starts at `+0.0` and adds only the nonzero terms in
+//! ascending `p`, so it stores the packed 4×16 tile's bits.
 //!
 //! **Fast tier** ([`crate::mode`]). The `*_fma` kernels and the AVX-512
 //! 8×32 tile *do* contract with `vfmadd`, which changes low-order bits —
@@ -37,7 +41,8 @@ const DISABLED: u8 = 2;
 /// Cached dispatch decision; `UNKNOWN` until the first kernel call.
 static SIMD_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 
-fn detect() -> bool {
+/// Whether the CPU has AVX2, the floor of every SIMD kernel.
+pub(crate) fn detect() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -252,6 +257,51 @@ pub(crate) fn axpy_row(use_simd: bool, o: &mut [f32], b: &[f32], av: f32) -> boo
         return true;
     }
     let _ = (use_simd, o, b, av);
+    false
+}
+
+/// Output rows of the strict zero-skipping GEMM: `out[i][j] = Σₚ a[i][p]·b[p][j]`
+/// over the nonzero `a[i][p]` in ascending `p`, for `a` row-major
+/// `[rows, k]`, `b` row-major `[k, n]` and `out` row-major `[rows, n]`.
+/// Returns `false` when the SIMD path is off, in which case the caller runs
+/// the portable kernel.
+///
+/// Each output element is one register accumulator that starts at `+0.0`
+/// and adds `a[i][p]·b[p][j]` with the multiply and the add rounded
+/// separately (never FMA): the packed kernel's chain minus its `±0.0`
+/// terms, which cannot move an accumulator that started at `+0.0` while
+/// `b` is finite. The nonzero entries of each 64-wide stretch of a row are
+/// found with one vector compare per register and walked as a bitmask.
+///
+/// # Panics
+///
+/// Panics if `use_simd` is set on a CPU without AVX2, or if the slice
+/// lengths disagree with `k` and `n`.
+#[inline]
+pub(crate) fn sparse_rows(
+    use_simd: bool,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_simd {
+        assert!(detect(), "sparse rows dispatched without AVX2");
+        assert!(k > 0 && n > 0, "sparse rows need k, n > 0");
+        assert_eq!(b.len(), k * n, "sparse rows rhs length");
+        assert_eq!(a.len() / k, out.len() / n, "sparse rows row count");
+        assert!(
+            a.len().is_multiple_of(k) && out.len().is_multiple_of(n),
+            "sparse rows lengths must be whole rows"
+        );
+        // SAFETY: AVX2 and every length the body reads or writes through
+        // were asserted above.
+        unsafe { avx2::sparse_rows(a, k, b, n, out) };
+        return true;
+    }
+    let _ = (use_simd, a, k, b, n, out);
     false
 }
 
@@ -565,8 +615,10 @@ mod avx512 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps,
+        __m256, __m256i, _mm256_add_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32, _mm256_div_ps,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_movemask_ps,
+        _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm256_sqrt_ps, _mm256_storeu_ps, _CMP_NEQ_UQ,
     };
 
     /// Vectorized Adam over the 8-aligned prefix; the caller finishes the
@@ -684,6 +736,114 @@ mod avx2 {
         _mm256_storeu_ps(op.add((r + 3) * n + j0 + 8), acc3h);
     }
 
+    /// Strict sparse rows (see [`super::sparse_rows`]): per output row,
+    /// columns in blocks of 64, 32, 16 and 8 held in `ymm` accumulators,
+    /// then the last `n % 8` in one masked vector whose off lanes load
+    /// zeros and are never stored.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `a` must hold whole rows of `k > 0`, `b` must
+    /// hold `k` rows of `n > 0`, and `out` as many rows of `n` as `a` has of
+    /// `k`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sparse_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        let (bp, op) = (b.as_ptr(), out.as_mut_ptr());
+        let tail = n % 8;
+        let last = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(tail as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        for (i, arow) in a.chunks_exact(k).enumerate() {
+            let orow = op.add(i * n);
+            let mut j0 = 0;
+            while j0 + 64 <= n {
+                block::<8>(arow, bp, n, orow, j0, None);
+                j0 += 64;
+            }
+            if n - j0 >= 32 {
+                block::<4>(arow, bp, n, orow, j0, None);
+                j0 += 32;
+            }
+            if n - j0 >= 16 {
+                block::<2>(arow, bp, n, orow, j0, None);
+                j0 += 16;
+            }
+            if n - j0 >= 8 {
+                block::<1>(arow, bp, n, orow, j0, None);
+                j0 += 8;
+            }
+            if tail > 0 {
+                block::<1>(arow, bp, n, orow, j0, Some(last));
+            }
+        }
+    }
+
+    /// `V` vectors of one output row from column `j0`, the last of them
+    /// limited to the lanes of `last` when given: the accumulators start at
+    /// `+0.0` and add `arow[p]·b[p][j]` for each nonzero `arow[p]` in
+    /// ascending `p`.
+    ///
+    /// # Safety
+    ///
+    /// As [`sparse_rows`] for this row, with `j0 + 8·(V − 1)` plus the
+    /// lanes of the last vector at most `n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block<const V: usize>(
+        arow: &[f32],
+        bp: *const f32,
+        n: usize,
+        orow: *mut f32,
+        j0: usize,
+        last: Option<__m256i>,
+    ) {
+        let mut acc: [__m256; V] = [_mm256_setzero_ps(); V];
+        for (w, stretch) in arow.chunks(64).enumerate() {
+            let mut bits = nonzero_bits(stretch);
+            while bits != 0 {
+                let p = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let va = _mm256_set1_ps(arow[p]);
+                let row = bp.add(p * n + j0);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let bv = match last {
+                        Some(lanes) if v + 1 == V => _mm256_maskload_ps(row.add(8 * v), lanes),
+                        _ => _mm256_loadu_ps(row.add(8 * v)),
+                    };
+                    *a = madd(*a, va, bv);
+                }
+            }
+        }
+        for (v, a) in acc.iter().enumerate() {
+            match last {
+                Some(lanes) if v + 1 == V => _mm256_maskstore_ps(orow.add(j0 + 8 * v), lanes, *a),
+                _ => _mm256_storeu_ps(orow.add(j0 + 8 * v), *a),
+            }
+        }
+    }
+
+    /// Bit `t` set for each nonzero `stretch[t]` (`NaN` included), for a
+    /// stretch of at most 64 entries: one compare and move-mask per 8.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn nonzero_bits(stretch: &[f32]) -> u64 {
+        debug_assert!(stretch.len() <= 64, "a stretch spans one u64");
+        let mut bits = 0u64;
+        let mut chunks = stretch.chunks_exact(8);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            // SAFETY: `chunk` holds exactly eight elements.
+            let v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+            let nz = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps());
+            bits |= u64::from(_mm256_movemask_ps(nz) as u8) << (8 * c);
+        }
+        let base = stretch.len() - chunks.remainder().len();
+        for (t, &v) in chunks.remainder().iter().enumerate() {
+            bits |= u64::from(v != 0.0) << (base + t);
+        }
+        bits
+    }
+
     /// Separately rounded multiply-then-add; never an FMA contraction
     /// (intrinsics are not subject to `fast-math`-style fusion).
     #[inline]
@@ -781,6 +941,69 @@ mod tests {
                 ),
                 "{v:?} should force the portable path"
             );
+        }
+    }
+
+    #[test]
+    fn sparse_rows_store_the_scalar_chains_bits() {
+        // The AVX2 body against the scalar chain (start at +0.0, skip ±0.0,
+        // mul then add in ascending p), over widths off and on every block
+        // edge and depths across 64-entry stretches. Vacuous without AVX2.
+        #[cfg(target_arch = "x86_64")]
+        if detect() {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 40) as f32 / (1u64 << 24) as f32
+            };
+            for (k, n) in [
+                (1, 1),
+                (7, 5),
+                (64, 16),
+                (65, 17),
+                (154, 128),
+                (154, 100),
+                (300, 137),
+                (129, 250),
+            ] {
+                let rows = 3;
+                let a: Vec<f32> = (0..rows * k)
+                    .map(|_| match next() {
+                        u if u < 0.6 => 0.0,
+                        u if u < 0.8 => -0.0,
+                        u => 2.0 * u - 1.5,
+                    })
+                    .collect();
+                let b: Vec<f32> = (0..k * n)
+                    .map(|_| {
+                        if next() < 0.1 {
+                            -0.0
+                        } else {
+                            2.0 * next() - 1.0
+                        }
+                    })
+                    .collect();
+                let mut want = vec![0.0f32; rows * n];
+                for i in 0..rows {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        for p in 0..k {
+                            let av = a[i * k + p];
+                            if av != 0.0 {
+                                acc += av * b[p * n + j];
+                            }
+                        }
+                        want[i * n + j] = acc;
+                    }
+                }
+                let mut got = vec![f32::NAN; rows * n];
+                assert!(sparse_rows(true, &a, k, &b, n, &mut got));
+                for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "at {idx}, k={k} n={n}");
+                }
+            }
         }
     }
 

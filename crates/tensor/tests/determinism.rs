@@ -130,6 +130,29 @@ fn matmul_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn sparse_matmul_is_bit_identical_across_thread_counts() {
+    // One-hot rows (22 of 154 entries set) take the zero-skipping kernel in
+    // `x·W` and, transposed, in `xᵀ·g`; 1024 rows carry enough nonzero
+    // multiply-adds for the 2- and 4-thread runs to split rows.
+    let (m, k, n) = (1024, 154, 128);
+    let mut x = vec![0.0f32; m * k];
+    for i in 0..m {
+        for layer in 0..22 {
+            x[i * k + layer * 7 + (i * 3 + layer) % 7] = 1.0;
+        }
+    }
+    let w = Tensor::uniform(&[k, n], -1.0, 1.0, 212);
+    let g = Tensor::uniform(&[m, n], -1.0, 1.0, 213);
+    hash_across_thread_counts(|| {
+        let mut fwd = vec![0.0f32; m * n];
+        kernels::matmul_into(&x, w.as_slice(), m, k, n, &mut fwd);
+        let mut tn = vec![0.0f32; k * n];
+        kernels::matmul_tn_into(&x, g.as_slice(), m, k, n, &mut tn);
+        fnv(&fwd) ^ fnv(&tn).rotate_left(1)
+    });
+}
+
+#[test]
 fn conv_forward_and_backward_are_bit_identical_across_thread_counts() {
     let spec = Conv2dSpec {
         kernel: 3,

@@ -1,8 +1,10 @@
 //! Property-based invariants of the tensor algebra (proptest).
 
+use std::sync::{Mutex, PoisonError};
+
 use proptest::prelude::*;
 
-use lightnas_tensor::{Conv2dSpec, Graph, Tensor};
+use lightnas_tensor::{kernels, Conv2dSpec, Graph, Tensor};
 
 fn arb_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, n)
@@ -159,6 +161,59 @@ fn assert_bits_eq(fast: &Tensor, reference: &Tensor) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// A `[rows, cols]` left operand: uniform data with about `zero_pct`% of
+/// its entries zeroed (half of them as `-0.0`), or — when `one_hot` is set —
+/// `rows` one-hot encodings of the search's width, 22 layers of 7 ops
+/// (`cols` is then 154). Low densities with outputs of 32 columns or more
+/// route `matmul_into` and `matmul_tn_into` through the zero-skipping
+/// kernel.
+fn lhs(rows: usize, cols: usize, zero_pct: u32, one_hot: bool, seed: u64) -> Tensor {
+    let mix = |i: usize| {
+        let mut z = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^ (z >> 29)
+    };
+    if one_hot {
+        let width = 22 * 7;
+        let mut data = vec![0.0f32; rows * width];
+        for i in 0..rows {
+            for layer in 0..22 {
+                data[i * width + layer * 7 + (mix(i * 22 + layer) % 7) as usize] = 1.0;
+            }
+        }
+        return Tensor::from_vec(data, &[rows, width]);
+    }
+    let mut a = Tensor::uniform(&[rows, cols], -2.0, 2.0, seed);
+    for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+        let h = mix(i);
+        if (h % 100) < u64::from(zero_pct) {
+            *v = if h & (1 << 40) == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    a
+}
+
+/// Runs `check` with the SIMD kernels on (where the CPU has them) and then
+/// forced off, holding a lock so no other case in this binary flips the
+/// process-wide switch in between; restores the switch afterwards.
+fn with_each_simd_mode(
+    mut check: impl FnMut() -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    static SIMD_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = lightnas_tensor::simd_enabled();
+    let mut result = Ok(());
+    for on in [true, false] {
+        lightnas_tensor::set_simd_enabled(on);
+        result = check();
+        if result.is_err() {
+            break;
+        }
+    }
+    lightnas_tensor::set_simd_enabled(before);
+    result
+}
+
 fn conv_out_dim(size: usize, spec: Conv2dSpec) -> usize {
     (size + 2 * spec.padding - spec.kernel) / spec.stride + 1
 }
@@ -193,10 +248,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matmul_matches_reference_bits(m in 1usize..40, k in 1usize..48, n in 1usize..40, seed in 1u64..1_000_000) {
-        let a = Tensor::uniform(&[m, k], -2.0, 2.0, seed);
+    fn matmul_matches_reference_bits(
+        m in 1usize..40, k in 1usize..48, n in 1usize..80,
+        zero_pct in 0u32..=100, one_hot in 0u32..4, seed in 1u64..1_000_000,
+    ) {
+        let a = lhs(m, k, zero_pct, one_hot == 0, seed);
+        let k = a.shape().dim(1);
         let b = Tensor::uniform(&[k, n], -2.0, 2.0, seed.wrapping_add(1));
-        assert_bits_eq(&a.matmul(&b), &lightnas_tensor::matmul_ref(&a, &b))?;
+        let want = lightnas_tensor::matmul_ref(&a, &b);
+        with_each_simd_mode(|| assert_bits_eq(&a.matmul(&b), &want))?;
+    }
+
+    #[test]
+    fn matmul_tn_nt_match_transpose_then_reference_bits(
+        d in 1usize..48, m in 1usize..40, n in 1usize..80,
+        zero_pct in 0u32..=100, one_hot in 0u32..4, seed in 1u64..1_000_000,
+    ) {
+        // TN: `aᵀ · b` for `a` stored `[d, m]`; one-hot rows make `aᵀ` the
+        // input-batch transpose of the predictor's weight gradient.
+        let a = lhs(d, m, zero_pct, one_hot == 0, seed);
+        let m = a.shape().dim(1);
+        let b = Tensor::uniform(&[d, n], -2.0, 2.0, seed.wrapping_add(1));
+        let tn_want = lightnas_tensor::matmul_ref(&a.transpose(), &b);
+        // NT: `x · yᵀ` for a sparse `x` (`[d, m]`) and `y` stored `[n, m]`.
+        let y = Tensor::uniform(&[n, m], -2.0, 2.0, seed.wrapping_add(2));
+        let nt_want = lightnas_tensor::matmul_ref(&a, &y.transpose());
+        with_each_simd_mode(|| {
+            let mut tn = vec![f32::NAN; m * n];
+            kernels::matmul_tn_into(a.as_slice(), b.as_slice(), d, m, n, &mut tn);
+            assert_bits_eq(&Tensor::from_vec(tn, &[m, n]), &tn_want)?;
+            let mut nt = vec![f32::NAN; d * n];
+            kernels::matmul_nt_into(a.as_slice(), y.as_slice(), d, m, n, &mut nt);
+            assert_bits_eq(&Tensor::from_vec(nt, &[d, n]), &nt_want)
+        })?;
     }
 
     #[test]

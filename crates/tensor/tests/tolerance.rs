@@ -164,6 +164,70 @@ proptest! {
     }
 }
 
+/// A left operand at most a quarter nonzero adds the strict zero-skipping
+/// kernel to the fast tier's autotuned candidates. Whichever kernel wins a
+/// shape, `matmul_into` and `matmul_tn_into` stay within the depth bound at
+/// every thread count, on one-hot rows and on scattered nonzeros, over wide
+/// outputs (where the zero-skip wins) and 32-column ones (where the tiles
+/// do).
+#[test]
+fn sparse_lhs_fast_matmul_within_depth_bound() {
+    let _lab = KnobLab::new();
+    for (m, k, n) in [(256, 154, 128), (64, 154, 32), (37, 70, 45)] {
+        // One-hot rows over 22 groups of 7 when k = 154, else every fifth
+        // entry nonzero.
+        let dense = Tensor::uniform(&[m, k], -2.0, 2.0, (m * k + n) as u64);
+        let a: Vec<f32> = (0..m * k)
+            .map(|idx| {
+                let (i, p) = (idx / k, idx % k);
+                let keep = if k == 154 {
+                    p % 7 == (i + p / 7) % 7
+                } else {
+                    idx % 5 == 0
+                };
+                if keep {
+                    dense.as_slice()[idx]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let b = Tensor::uniform(&[k, n], -2.0, 2.0, (m + k * n) as u64);
+        for threads in [1, 2, 4] {
+            let (strict, fast, scale) = matmul_triple(
+                |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
+                &a,
+                b.as_slice(),
+                m * n,
+                threads,
+                None,
+            );
+            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
+                panic!("sparse matmul {m}x{k}x{n} t={threads}: {v}");
+            }
+            // The same operand read as aᵀ for `matmul_tn_into`: [k, m]
+            // stored, so the product is [m, n] again with depth k.
+            let mut at = vec![0.0f32; m * k];
+            for i in 0..m {
+                for p in 0..k {
+                    at[p * m + i] = a[i * k + p];
+                }
+            }
+            let (strict, fast, scale) = matmul_triple(
+                |a, b, out| kernels::matmul_tn_into(a, b, k, m, n, out),
+                &at,
+                b.as_slice(),
+                m * n,
+                threads,
+                None,
+            );
+            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
+                panic!("sparse matmul_tn {k}x{m}x{n} t={threads}: {v}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
