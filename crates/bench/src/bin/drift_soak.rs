@@ -6,7 +6,7 @@
 //!
 //! * **A — stationary warm-up.** Honest model, honest board. The drift
 //!   monitor must stay quiet: zero staleness flags.
-//! * **B — drift burst.** A `ChaosPlan` `DriftBurst` steps the device's
+//! * **B — drift burst.** A scripted `DriftBurst` steps the device's
 //!   latency surface ×1.35 (thermal throttle). The service must *detect*
 //!   staleness from windowed residuals, *retrain* a shadow on the live
 //!   window, *validate* it on paired traffic, and *promote* it — and the
@@ -18,7 +18,7 @@
 //!   cause: the monitor flags, a clean shadow wins validation, and the
 //!   promotion heals the corruption.
 //! * **D — bad deploy.** A second drift burst provokes a retrain, and a
-//!   `BadDeploy` fault corrupts the *deployed copy* of the validated
+//!   scripted `BadDeploy` corrupts the *deployed copy* of the validated
 //!   shadow. Probation must catch it: an audited rollback, the service
 //!   breaker tripped (`rolled_back`) so traffic routes to the LUT for one
 //!   cool-down, and — the invariant the whole audit trail exists for —
@@ -34,14 +34,13 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lightnas_bench::{render_table, Harness};
+use lightnas_bench::{render_table, verdict, Harness};
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_runtime::Telemetry;
 use lightnas_serve::{
-    audit_is_well_formed, spearman, AdaptConfig, AdaptEvent, AdaptFault, AdaptFaultKind,
-    AdaptStatus, AdaptationController, ChaosPlan, Clock, ModelSlot, PredictorService, Request,
-    ServiceConfig, VirtualClock,
+    audit_is_well_formed, spearman, AdaptConfig, AdaptEvent, AdaptStatus, AdaptationController,
+    Clock, ModelSlot, PredictorService, Request, ServiceConfig, VirtualClock,
 };
 
 /// Stream seed: architectures and measurement noise both derive from it.
@@ -73,6 +72,19 @@ const BAD_DEPLOY_BIAS_MS: f64 = 9.0;
 const RMSE_RATIO_BAR: f64 = 1.10;
 const SPEARMAN_BAR: f64 = 0.90;
 
+/// One scripted scenario step.
+enum Event {
+    /// The device's latency surface steps by this factor (thermal
+    /// throttle, power-mode flip) — the drift the monitor must detect.
+    DriftBurst(f64),
+    /// The serving model silently gains `bias_ms` for `ticks` sample ticks
+    /// (weight corruption) — staleness with no device drift at all.
+    StalePredictor { bias_ms: f64, ticks: u64 },
+    /// The next promotion deploys a copy of the validated shadow whose
+    /// predictions gain this bias (ms) — the failure rollback exists for.
+    BadDeploy(f64),
+}
+
 /// Cumulative audit-trail counts at a phase boundary.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
@@ -94,17 +106,6 @@ fn tally(audit: &[AdaptEvent]) -> Tally {
         }
     }
     t
-}
-
-fn verdict(label: &str, pass: bool, detail: &str) -> bool {
-    let dots = ".".repeat(44usize.saturating_sub(label.len()));
-    let word = if pass { "YES" } else { "NO" };
-    if detail.is_empty() {
-        println!("  {label} {dots} {word}");
-    } else {
-        println!("  {label} {dots} {word} ({detail})");
-    }
-    pass
 }
 
 fn main() -> ExitCode {
@@ -152,7 +153,7 @@ fn main() -> ExitCode {
         promote_margin: 0.85,
         ..AdaptConfig::default()
     };
-    let ctl = AdaptationController::new(&slot, &clock, adapt_cfg, trainer)
+    let ctl = AdaptationController::new(&slot, &clock, adapt_cfg)
         .with_breaker(svc.breaker())
         .with_status(&status);
     let mut ctl = match telemetry.as_ref() {
@@ -163,31 +164,19 @@ fn main() -> ExitCode {
     let c_start = WARMUP + DRIFT_PHASE;
     let d_start = c_start + STALE_PHASE;
     let total = d_start + DEPLOY_PHASE;
-    let plan = ChaosPlan::none().with_adapt_faults(vec![
-        AdaptFault {
-            at_sample: WARMUP,
-            kind: AdaptFaultKind::DriftBurst { scale: DRIFT_SCALE },
-        },
-        AdaptFault {
-            at_sample: c_start,
-            kind: AdaptFaultKind::StalePredictor {
+    // Same-tick steps run in list order.
+    let script = [
+        (WARMUP, Event::DriftBurst(DRIFT_SCALE)),
+        (
+            c_start,
+            Event::StalePredictor {
                 bias_ms: STALE_BIAS_MS,
-                samples: STALE_TICKS,
+                ticks: STALE_TICKS,
             },
-        },
-        AdaptFault {
-            at_sample: d_start,
-            kind: AdaptFaultKind::BadDeploy {
-                bias_ms: BAD_DEPLOY_BIAS_MS,
-            },
-        },
-        AdaptFault {
-            at_sample: d_start,
-            kind: AdaptFaultKind::DriftBurst {
-                scale: SECOND_DRIFT_SCALE,
-            },
-        },
-    ]);
+        ),
+        (d_start, Event::BadDeploy(BAD_DEPLOY_BIAS_MS)),
+        (d_start, Event::DriftBurst(SECOND_DRIFT_SCALE)),
+    ];
 
     let mut stream = DriftStream::new(&h.device, &h.space, DriftSchedule::stationary(), SEED);
     let soak = Instant::now();
@@ -195,15 +184,15 @@ fn main() -> ExitCode {
     let mut b_eval: Option<(f64, f64, f64)> = None; // (promoted, oracle, spearman)
 
     for i in 0..total {
-        for kind in plan.take_adapt(i) {
-            match kind {
-                AdaptFaultKind::DriftBurst { scale } => stream.apply_burst(clock.now(), scale),
+        for (_, event) in script.iter().filter(|(at, _)| *at == i) {
+            match *event {
+                Event::DriftBurst(scale) => stream.apply_burst(clock.now(), scale),
                 // Each tick consumes two slot predictions (serve + ingest),
                 // so a tick budget is twice that many predictions.
-                AdaptFaultKind::StalePredictor { bias_ms, samples } => {
-                    slot.inject_bias(bias_ms, samples.saturating_mul(2));
+                Event::StalePredictor { bias_ms, ticks } => {
+                    slot.inject_bias(bias_ms, ticks.saturating_mul(2));
                 }
-                AdaptFaultKind::BadDeploy { bias_ms } => ctl.arm_bad_deploy(bias_ms),
+                Event::BadDeploy(bias_ms) => ctl.arm_bad_deploy(bias_ms),
             }
         }
         let s = stream.next_sample(clock.now());
@@ -211,6 +200,12 @@ fn main() -> ExitCode {
             .expect("soak never exceeds the admission watermark");
         svc.pump();
         ctl.ingest(&s.encoding, s.observed_ms);
+        // A flag parks the controller: retrain on the live window and
+        // install the shadow at the same sample and clock instant.
+        if ctl.awaiting_retrain() {
+            let (encs, obs) = ctl.retrain_window();
+            ctl.install_shadow(slot.with_current(|m| trainer(m, &encs, &obs)));
+        }
         clock.advance(TICK);
 
         if i + 1 == WARMUP {

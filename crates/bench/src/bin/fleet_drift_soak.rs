@@ -6,8 +6,8 @@
 //! correlated and retraining is a shared resource. Every device serves a
 //! [`TransferredPredictor`] — the proxy's MLP through a [`MonotoneMap`]
 //! (the proxy itself through the identity map) — and one [`FleetAdaptation`]
-//! drives all five deferred controllers against a scripted fleet
-//! [`ChaosPlan`] on a shared [`VirtualClock`]:
+//! drives all five controllers through a scripted list of fleet events on
+//! a shared [`VirtualClock`]:
 //!
 //! * **A — stationary warm-up.** All five monitors self-calibrate; zero
 //!   staleness flags anywhere.
@@ -45,7 +45,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lightnas_bench::{render_table, Harness};
+use lightnas_bench::{render_table, verdict, Harness};
 use lightnas_fleet::{
     fleet_audit_is_well_formed, predictor_rmse, spearman, transfer_predictor, DeviceFleet,
     DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, MonotoneMap, TransferOptions,
@@ -55,8 +55,7 @@ use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig};
 use lightnas_runtime::Telemetry;
 use lightnas_serve::{
-    AdaptConfig, AdaptEvent, BreakerState, ChaosPlan, Clock, FleetFault, FleetFaultKind,
-    HealthSnapshot, ModelSlot, VirtualClock,
+    AdaptConfig, AdaptEvent, BreakerState, Clock, HealthSnapshot, ModelSlot, VirtualClock,
 };
 
 /// The fleet's serving-model type: one shape for proxy and targets alike.
@@ -104,6 +103,19 @@ const WARM_FOLD: usize = 32;
 
 /// Acceptance bar: every device's final RMSE vs its fresh oracle.
 const RMSE_RATIO_BAR: f64 = 1.10;
+
+/// One scripted fleet event.
+enum Event {
+    /// Every device whose index bit is set in `mask` steps its latency
+    /// surface by `scale` (a heat wave on the rack, a fleet-wide DVFS push).
+    CorrelatedDriftBurst { mask: u64, scale: f64 },
+    /// The retrain pool admits nothing for this many ticks (workers seized
+    /// by a competing tenant).
+    PoolStarvation(u64),
+    /// The device's next promotion deploys with this bias (ms) on every
+    /// served prediction.
+    BadDeploy(usize, f64),
+}
 
 /// Cross-device audit counts over a tick range.
 #[derive(Debug, Clone, Copy, Default)]
@@ -173,17 +185,6 @@ fn device_event_in<F: Fn(&AdaptEvent) -> bool>(
         matches!(e, FleetAdaptEvent::Device { device: d, at_tick, event }
             if *d == device && *at_tick >= lo && *at_tick < hi && pred(event))
     })
-}
-
-fn verdict(label: &str, pass: bool, detail: &str) -> bool {
-    let dots = ".".repeat(44usize.saturating_sub(label.len()));
-    let word = if pass { "YES" } else { "NO" };
-    if detail.is_empty() {
-        println!("  {label} {dots} {word}");
-    } else {
-        println!("  {label} {dots} {word} ({detail})");
-    }
-    pass
 }
 
 /// Everything main needs back from one soak run (slots and controllers are
@@ -300,49 +301,39 @@ fn run_soak(
     let b_start = WARMUP;
     let c_start = WARMUP + B_PHASE;
     let d_start = c_start + C_PHASE;
-    let plan = ChaosPlan::none().with_fleet_faults(vec![
-        FleetFault {
-            at_sample: b_start,
-            kind: FleetFaultKind::CorrelatedDriftBurst {
-                device_mask: 1 << PROXY,
+    // Same-tick events run in list order.
+    let script = [
+        (
+            b_start,
+            Event::CorrelatedDriftBurst {
+                mask: 1 << PROXY,
                 scale: PROXY_BURST,
             },
-        },
-        FleetFault {
-            at_sample: b_start,
-            kind: FleetFaultKind::CorrelatedDriftBurst {
-                device_mask: 1 << PHONE,
+        ),
+        (
+            b_start,
+            Event::CorrelatedDriftBurst {
+                mask: 1 << PHONE,
                 scale: PHONE_BURST,
             },
-        },
-        FleetFault {
-            at_sample: c_start,
-            kind: FleetFaultKind::CorrelatedDriftBurst {
-                device_mask: (1 << EDGE) | (1 << NANO) | (1 << SERVER),
+        ),
+        (
+            c_start,
+            Event::CorrelatedDriftBurst {
+                mask: (1 << EDGE) | (1 << NANO) | (1 << SERVER),
                 scale: HERD_BURST,
             },
-        },
-        FleetFault {
-            at_sample: c_start,
-            kind: FleetFaultKind::PoolStarvation {
-                ticks: STARVE_TICKS,
-            },
-        },
-        FleetFault {
-            at_sample: d_start,
-            kind: FleetFaultKind::CorrelatedDriftBurst {
-                device_mask: (1 << PROXY) | (1 << SERVER),
+        ),
+        (c_start, Event::PoolStarvation(STARVE_TICKS)),
+        (
+            d_start,
+            Event::CorrelatedDriftBurst {
+                mask: (1 << PROXY) | (1 << SERVER),
                 scale: SECOND_BURST,
             },
-        },
-        FleetFault {
-            at_sample: d_start,
-            kind: FleetFaultKind::BadDeploy {
-                device: SERVER as u32,
-                bias_ms: BAD_DEPLOY_BIAS_MS,
-            },
-        },
-    ]);
+        ),
+        (d_start, Event::BadDeploy(SERVER, BAD_DEPLOY_BIAS_MS)),
+    ];
 
     let boards: Vec<_> = fleet.devices().iter().map(DeviceSpec::device).collect();
     let mut streams: Vec<DriftStream> = fleet
@@ -360,19 +351,17 @@ fn run_soak(
         .collect();
 
     for i in 0..total {
-        for kind in plan.take_fleet(i) {
-            match kind {
-                FleetFaultKind::CorrelatedDriftBurst { device_mask, scale } => {
+        for (_, event) in script.iter().filter(|(at, _)| *at == i) {
+            match *event {
+                Event::CorrelatedDriftBurst { mask, scale } => {
                     for (d, stream) in streams.iter_mut().enumerate() {
-                        if device_mask & (1 << d) != 0 {
+                        if mask & (1 << d) != 0 {
                             stream.apply_burst(clock.now(), scale);
                         }
                     }
                 }
-                FleetFaultKind::PoolStarvation { ticks } => fa.starve_pool(ticks),
-                FleetFaultKind::BadDeploy { device, bias_ms } => {
-                    fa.arm_bad_deploy(device as usize, bias_ms);
-                }
+                Event::PoolStarvation(ticks) => fa.starve_pool(ticks),
+                Event::BadDeploy(device, bias_ms) => fa.arm_bad_deploy(device, bias_ms),
             }
         }
         let samples: Vec<(Vec<f32>, f64)> = streams

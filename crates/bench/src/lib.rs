@@ -155,6 +155,19 @@ pub fn save_figure(name: &str, chart: &plot::SvgPlot) {
     }
 }
 
+/// Prints one acceptance verdict line (`  label ..... YES (detail)`) and
+/// returns `pass`, so an exhibit can fold its bars with `pass &= …`.
+pub fn verdict(label: &str, pass: bool, detail: &str) -> bool {
+    let dots = ".".repeat(44usize.saturating_sub(label.len()));
+    let word = if pass { "YES" } else { "NO" };
+    if detail.is_empty() {
+        println!("  {label} {dots} {word}");
+    } else {
+        println!("  {label} {dots} {word} ({detail})");
+    }
+    pass
+}
+
 /// Renders an aligned plain-text table.
 ///
 /// # Panics

@@ -13,11 +13,12 @@
 //!   not spawn N simultaneous retrains (the thundering herd); they queue
 //!   against a bounded worker pool and are admitted under a retrain budget.
 //!
-//! [`FleetAdaptation`] owns one *deferred* controller per device: a
-//! staleness flag parks the device in `awaiting_retrain` instead of
-//! training inline, and this layer snapshots the device's sample window,
-//! trains the shadow on the shared [`JobScheduler`] pool, and hands it back
-//! through `install_shadow`. Everything downstream of the handoff — paired
+//! [`FleetAdaptation`] owns one controller per device: a staleness flag
+//! parks the device in `awaiting_retrain`, and this layer queues it,
+//! snapshots the device's sample window when the shared [`JobScheduler`]
+//! pool admits it, trains the shadow there, and hands it back through
+//! `install_shadow` — the same three calls a single device makes without
+//! a queue. Everything downstream of the handoff — paired
 //! validation, promotion, probation, rollback — is the unchanged PR 7
 //! machinery, per device: **a shadow still never serves before its
 //! verdict, and one device's rollback never touches another's slot.**
@@ -237,7 +238,7 @@ impl<'a, P: BatchPredictor + Clone + Send + Sync> FleetAdaptation<'a, P> {
         let n = slots.len();
         let controllers = slots
             .iter()
-            .map(|slot| AdaptationController::deferred(slot, clock, options.adapt.clone()))
+            .map(|slot| AdaptationController::new(slot, clock, options.adapt.clone()))
             .collect();
         let pool = JobScheduler::new(options.max_concurrent_retrains.max(1));
         Self {

@@ -17,8 +17,8 @@
 //! * [`FleetSearch`] — one λ-driven constrained search per (device,
 //!   target) pair through the runtime's scheduler/supervisor machinery,
 //!   reduced to a per-device Pareto front over (true latency, top-1).
-//! * [`FleetAdaptation`] — fleet-wide drift survival: one deferred
-//!   adaptation loop per device over a shared bounded retrain pool, with
+//! * [`FleetAdaptation`] — fleet-wide drift survival: one adaptation loop
+//!   per device, its retrains queued on a shared bounded pool, with
 //!   correlated-drift warm starts through the transfer path and a typed
 //!   cross-device audit ([`FleetAdaptEvent`]).
 //!
@@ -37,9 +37,10 @@ pub use adapt::{
     fleet_audit_is_well_formed, ColdTrainer, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
     WarmTrainer,
 };
+pub use lightnas_serve::spearman;
 pub use search::{quantile_targets, DeviceFront, FleetPoint, FleetSearch};
 pub use spec::{DeviceClass, DeviceFleet, DeviceSpec};
 pub use transfer::{
-    kendall_tau, predictor_rmse, spearman, transfer_predictor, MonotoneMap, TransferOptions,
+    kendall_tau, predictor_rmse, transfer_predictor, MonotoneMap, TransferOptions,
     TransferredPredictor,
 };

@@ -308,56 +308,10 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
     (concordant - discordant) as f64 / pairs
 }
 
-/// Spearman rank correlation ρ between two equal-length sequences
-/// (Pearson correlation over average-tie ranks).
-///
-/// # Panics
-///
-/// Panics on length mismatch or fewer than 2 items.
-pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "spearman length mismatch");
-    assert!(a.len() >= 2, "spearman needs >= 2 items");
-    let ra = ranks(a);
-    let rb = ranks(b);
-    let n = ra.len() as f64;
-    let (ma, mb) = (ra.iter().sum::<f64>() / n, rb.iter().sum::<f64>() / n);
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (x, y) in ra.iter().zip(&rb) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return 0.0;
-    }
-    cov / (va * vb).sqrt()
-}
-
-/// Average-tie ranks of a sequence (1-based).
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spearman;
 
     #[test]
     fn fit_recovers_a_monotone_relation_exactly() {

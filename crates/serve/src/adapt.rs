@@ -12,13 +12,16 @@
 //!    Spearman rank correlation between predictions and observations
 //!    collapses ([`AdaptConfig::rmse_ratio_bar`] /
 //!    [`AdaptConfig::spearman_bar`]).
-//! 3. **Retrain.** On a flag, the [`AdaptationController`] fine-tunes a
-//!    *shadow* candidate on the recent sample window (the caller supplies
-//!    the trainer — canonically
-//!    `MlpPredictor::fine_tune_incremental`, cheap enough since the fast
-//!    training step that the retrain runs inline at the detection point,
-//!    keeping the whole control loop a pure function of the sample
-//!    sequence).
+//! 3. **Retrain.** On a flag, the [`AdaptationController`] parks in
+//!    `awaiting_retrain`. The caller fits a *shadow* candidate on the
+//!    recent sample window
+//!    ([`retrain_window`](AdaptationController::retrain_window),
+//!    canonically through `MlpPredictor::fine_tune_incremental`) and
+//!    hands it back through
+//!    [`install_shadow`](AdaptationController::install_shadow).
+//!    A single device installs straight after the `ingest` that parked; a
+//!    fleet queues it behind a shared retrain pool. Either way the control
+//!    loop stays a pure function of the sample sequence.
 //! 4. **Validate.** The shadow rides along for
 //!    [`AdaptConfig::validation_pairs`] live samples, predicting in
 //!    parallel but **never serving**; it is promoted only if its paired
@@ -504,7 +507,8 @@ pub enum AdaptEvent {
         /// Windowed Spearman rank correlation (`NaN` = degenerate).
         spearman: f64,
     },
-    /// Shadow fine-tuning started on the recent window.
+    /// A shadow fine-tuned on the recent window was installed and started
+    /// validation.
     RetrainStarted {
         /// Ingested-sample index.
         at_sample: u64,
@@ -627,15 +631,14 @@ pub fn audit_is_well_formed_with(carry: &AuditCarry, audit: &[AdaptEvent]) -> bo
 #[derive(Debug)]
 enum Phase<P> {
     Monitoring,
-    /// Deferred mode only: a retrain was flagged (or requested) but the
-    /// shadow is trained *outside* the controller — by a shared fleet pool —
-    /// and handed back through
+    /// A retrain was flagged (or requested); the shadow is trained
+    /// *outside* the controller and handed back through
     /// [`AdaptationController::install_shadow`]. Pairs keep accumulating
     /// while the controller waits, so a queued retrain trains on a fresher
     /// window than the flag-time one.
     AwaitingRetrain {
-        /// Windowed RMSE when the retrain was flagged/requested — the same
-        /// re-anchoring yardstick the inline path records.
+        /// Windowed RMSE when the retrain was flagged/requested — the
+        /// re-anchoring yardstick validation carries.
         flag_windowed: f64,
     },
     Validating {
@@ -684,24 +687,21 @@ impl<P> Phase<P> {
     }
 }
 
-/// The trainer the controller calls to fit a shadow: `(incumbent, window
-/// encodings, window observations) → candidate`. Canonically a closure over
-/// `MlpPredictor::fine_tune_incremental`; tests substitute cheap fakes.
-pub type ShadowTrainer<'a, P> = Box<dyn FnMut(&P, &[Vec<f32>], &[f64]) -> P + 'a>;
-
 /// The detect → retrain → validate → promote/rollback state machine.
 ///
 /// Feed it every live sample via [`ingest`](Self::ingest); it pairs each
 /// with the deployed model's prediction (through the [`ModelSlot`], so
 /// chaos bias is observed exactly as served traffic sees it), watches the
-/// [`DriftMonitor`], and drives the slot. All decisions are functions of
-/// the sample sequence and the injected clock — no wall time, no threads —
-/// which is what lets the drift soak byte-compare two same-seed runs.
+/// [`DriftMonitor`], and drives the slot. A staleness flag parks it until
+/// the caller trains a shadow from [`retrain_window`](Self::retrain_window)
+/// and hands it back through [`install_shadow`](Self::install_shadow). All
+/// decisions are functions of the sample sequence and the injected clock —
+/// no wall time, no threads — which is what lets the drift soak
+/// byte-compare two same-seed runs.
 pub struct AdaptationController<'a, P: BatchPredictor> {
     slot: &'a ModelSlot<P>,
     clock: &'a dyn Clock,
     config: AdaptConfig,
-    trainer: ShadowTrainer<'a, P>,
     breaker: Option<&'a CircuitBreaker>,
     status: Option<&'a AdaptStatus>,
     telemetry: Option<&'a Telemetry>,
@@ -714,9 +714,6 @@ pub struct AdaptationController<'a, P: BatchPredictor> {
     samples: u64,
     cooldown_until: u64,
     pending_bad_deploy: Option<f64>,
-    /// Deferred mode: staleness flags park in [`Phase::AwaitingRetrain`]
-    /// instead of training inline — a fleet pool owns the retraining.
-    deferred: bool,
 }
 
 impl<P: BatchPredictor> std::fmt::Debug for AdaptationController<'_, P> {
@@ -730,20 +727,13 @@ impl<P: BatchPredictor> std::fmt::Debug for AdaptationController<'_, P> {
 }
 
 impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
-    /// A controller over `slot`, telling time through `clock`, fitting
-    /// shadows with `trainer`.
-    pub fn new(
-        slot: &'a ModelSlot<P>,
-        clock: &'a dyn Clock,
-        config: AdaptConfig,
-        trainer: impl FnMut(&P, &[Vec<f32>], &[f64]) -> P + 'a,
-    ) -> Self {
+    /// A controller over `slot`, telling time through `clock`.
+    pub fn new(slot: &'a ModelSlot<P>, clock: &'a dyn Clock, config: AdaptConfig) -> Self {
         let monitor = DriftMonitor::new(config.window);
         Self {
             slot,
             clock,
             config,
-            trainer: Box::new(trainer),
             breaker: None,
             status: None,
             telemetry: None,
@@ -756,28 +746,7 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
             samples: 0,
             cooldown_until: 0,
             pending_bad_deploy: None,
-            deferred: false,
         }
-    }
-
-    /// A controller whose retraining is *deferred*: a staleness flag parks
-    /// the controller in the `awaiting_retrain` phase instead of training
-    /// inline, and an external worker (canonically a shared fleet retrain
-    /// pool) fits the shadow from [`retrain_window`](Self::retrain_window)
-    /// and hands it back through [`install_shadow`](Self::install_shadow).
-    /// Validation, promotion, probation, and rollback are unchanged — a
-    /// shadow still never serves before its verdict, per device.
-    pub fn deferred(slot: &'a ModelSlot<P>, clock: &'a dyn Clock, config: AdaptConfig) -> Self {
-        let mut ctl = Self::new(
-            slot,
-            clock,
-            config,
-            |_m: &P, _e: &[Vec<f32>], _o: &[f64]| {
-                unreachable!("a deferred controller never trains inline")
-            },
-        );
-        ctl.deferred = true;
-        ctl
     }
 
     /// Trips `breaker` (`"rolled_back"`) whenever a promotion is rolled
@@ -871,7 +840,7 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
     }
 
     /// Current phase as a stable lowercase tag
-    /// (`monitoring`/`validating`/`probation`).
+    /// (`monitoring`/`awaiting_retrain`/`validating`/`probation`).
     pub fn phase(&self) -> &'static str {
         self.phase.name()
     }
@@ -900,9 +869,9 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
         }
         match self.phase.kind() {
             PhaseKind::Monitoring => self.step_monitoring(),
-            // Parked for an external retrain pool: the window keeps rolling
-            // (fresher data at install time) but no phase transition happens
-            // until install_shadow hands the trained candidate back.
+            // Parked for a retrain: the window keeps rolling (fresher data
+            // at install time) but no phase transition happens until
+            // install_shadow hands the trained candidate back.
             PhaseKind::AwaitingRetrain => {}
             PhaseKind::Validating => self.step_validating(encoding, predicted, observed_ms),
             PhaseKind::Probation => self.step_probation(predicted, observed_ms),
@@ -933,40 +902,15 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
                 ("spearman", Field::F(report.spearman)),
             ],
         );
-        if self.deferred {
-            // Hand off to the external pool: no RetrainStarted yet — that is
-            // audited when the pool actually admits the job and the trained
-            // shadow is installed.
-            self.phase = Phase::AwaitingRetrain {
-                flag_windowed: report.windowed_rmse,
-            };
-            return;
-        }
-        let (encs, obs): (Vec<Vec<f32>>, Vec<f64>) = self.recent.iter().cloned().unzip();
-        self.push_audit(AdaptEvent::RetrainStarted {
-            at_sample: self.samples,
-            window: encs.len(),
-        });
-        self.emit(
-            events::ADAPT_RETRAIN,
-            &[
-                ("sample", Field::U(self.samples)),
-                ("window", Field::U(encs.len() as u64)),
-            ],
-        );
-        let (slot, trainer) = (self.slot, &mut self.trainer);
-        let shadow = slot.with_current(|current| trainer(current, &encs, &obs));
-        self.phase = Phase::Validating {
-            shadow,
-            incumbent_sq: 0.0,
-            shadow_sq: 0.0,
-            pairs: 0,
+        // Park: no RetrainStarted yet — that is audited when the trained
+        // shadow is installed.
+        self.phase = Phase::AwaitingRetrain {
             flag_windowed: report.windowed_rmse,
         };
     }
 
-    /// `true` when a deferred controller has flagged and is parked waiting
-    /// for an external pool to hand a trained shadow back via
+    /// `true` when the controller has flagged (or was asked to retrain) and
+    /// is parked waiting for a trained shadow via
     /// [`install_shadow`](Self::install_shadow).
     pub fn awaiting_retrain(&self) -> bool {
         matches!(self.phase, Phase::AwaitingRetrain { .. })
@@ -992,7 +936,7 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
         })
     }
 
-    /// Warm-start early trigger: parks a *deferred* controller in
+    /// Warm-start early trigger: parks a monitoring controller in
     /// `AwaitingRetrain` without waiting for its own staleness flag, on
     /// external evidence (a correlated device flagged). Honors the
     /// cool-down and requires an armed window (`min_samples` pairs with a
@@ -1003,8 +947,7 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
     /// never flagged; the fleet layer records the cross-device trigger in
     /// its own audit instead.
     pub fn request_retrain(&mut self) -> bool {
-        if !self.deferred
-            || !matches!(self.phase, Phase::Monitoring)
+        if !matches!(self.phase, Phase::Monitoring)
             || self.samples < self.cooldown_until
             || self.staleness_ratio().is_none()
         {
@@ -1017,16 +960,17 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
     }
 
     /// Snapshot of the rolling retrain window (encodings, observations),
-    /// freshest data included — taken by the pool at admission time, which
-    /// may be ticks after the flag.
+    /// freshest data included — taken when the retrain actually starts,
+    /// which for a fleet device queued behind the pool may be ticks after
+    /// the flag.
     pub fn retrain_window(&self) -> (Vec<Vec<f32>>, Vec<f64>) {
         self.recent.iter().cloned().unzip()
     }
 
-    /// Hands an externally trained shadow to a parked deferred controller:
-    /// audits `RetrainStarted` (the pool-admission analogue of the inline
-    /// retrain) and enters validation. The shadow predicts in parallel from
-    /// the next sample on and never serves before its verdict.
+    /// Hands a trained shadow to a parked controller: audits
+    /// `RetrainStarted` and enters validation. The shadow predicts in
+    /// parallel from the next sample on and never serves before its
+    /// verdict.
     ///
     /// # Panics
     ///
@@ -1250,6 +1194,25 @@ mod tests {
         LinearModel { scale: num / den }
     }
 
+    type Trainer = fn(&LinearModel, &[Vec<f32>], &[f64]) -> LinearModel;
+
+    /// Ingests one sample and, if that parked the controller, trains a
+    /// shadow with `train` on the retrain window and installs it at once —
+    /// the single-device retrain path.
+    fn ingest_and_retrain(
+        ctl: &mut AdaptationController<'_, LinearModel>,
+        slot: &ModelSlot<LinearModel>,
+        train: Trainer,
+        e: &[f32],
+        observed_ms: f64,
+    ) {
+        ctl.ingest(e, observed_ms);
+        if ctl.awaiting_retrain() {
+            let (encs, obs) = ctl.retrain_window();
+            ctl.install_shadow(slot.with_current(|m| train(m, &encs, &obs)));
+        }
+    }
+
     fn quick_config() -> AdaptConfig {
         AdaptConfig {
             window: 16,
@@ -1351,13 +1314,12 @@ mod tests {
         let clock = VirtualClock::new();
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
         let status = AdaptStatus::new();
-        let mut ctl =
-            AdaptationController::new(&slot, &clock, quick_config(), refit).with_status(&status);
+        let mut ctl = AdaptationController::new(&slot, &clock, quick_config()).with_status(&status);
         // Stationary warm-up: self-calibrates, never promotes.
         for i in 0..40u64 {
             let e = enc(i);
             let truth = 10.0 * f64::from(e[0]);
-            ctl.ingest(&e, truth);
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, truth);
             clock.advance(Duration::from_millis(1));
         }
         assert_eq!(ctl.phase(), "monitoring");
@@ -1369,7 +1331,7 @@ mod tests {
         for i in 40..440u64 {
             let e = enc(i);
             let truth = 16.0 * f64::from(e[0]);
-            ctl.ingest(&e, truth);
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, truth);
             clock.advance(Duration::from_millis(1));
             if promoted_at.is_none() && slot.generation() > 0 {
                 promoted_at = Some(i);
@@ -1403,23 +1365,23 @@ mod tests {
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
         let breaker = CircuitBreaker::new(BreakerConfig::default());
         let mut ctl =
-            AdaptationController::new(&slot, &clock, quick_config(), refit).with_breaker(&breaker);
+            AdaptationController::new(&slot, &clock, quick_config()).with_breaker(&breaker);
         for i in 0..40u64 {
             let e = enc(i);
-            ctl.ingest(&e, 10.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, 10.0 * f64::from(e[0]));
         }
         ctl.arm_bad_deploy(50.0);
         let mut i = 40u64;
         while slot.generation() < 1 && i < 400 {
             let e = enc(i);
-            ctl.ingest(&e, 16.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, 16.0 * f64::from(e[0]));
             i += 1;
         }
         assert_eq!(slot.generation(), 1, "sabotaged promotion deployed");
         // Probation sees the +50 ms deployment bias and must roll back.
         while ctl.phase() == "probation" {
             let e = enc(i);
-            ctl.ingest(&e, 16.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, 16.0 * f64::from(e[0]));
             i += 1;
         }
         assert_eq!(slot.generation(), 2, "rollback is a new deployment");
@@ -1454,19 +1416,15 @@ mod tests {
         let clock = VirtualClock::new();
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
         // A trainer that always produces garbage: validation must reject it.
-        let mut ctl = AdaptationController::new(
-            &slot,
-            &clock,
-            quick_config(),
-            |_m: &LinearModel, _e: &[Vec<f32>], _o: &[f64]| LinearModel { scale: 1000.0 },
-        );
+        let garbage: Trainer = |_m, _e, _o| LinearModel { scale: 1000.0 };
+        let mut ctl = AdaptationController::new(&slot, &clock, quick_config());
         for i in 0..40u64 {
             let e = enc(i);
-            ctl.ingest(&e, 10.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, garbage, &e, 10.0 * f64::from(e[0]));
         }
         for i in 40..400u64 {
             let e = enc(i);
-            ctl.ingest(&e, 16.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, garbage, &e, 16.0 * f64::from(e[0]));
         }
         assert_eq!(slot.generation(), 0, "garbage shadow never serves");
         assert!(ctl
@@ -1542,8 +1500,7 @@ mod tests {
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
         // Tiny cap so a long alternating-drift soak crosses the boundary
         // many times; every fourth sample re-checks the suffix invariant.
-        let mut ctl =
-            AdaptationController::new(&slot, &clock, quick_config(), refit).with_audit_cap(8);
+        let mut ctl = AdaptationController::new(&slot, &clock, quick_config()).with_audit_cap(8);
         let mut scale = 10.0;
         for i in 0..4000u64 {
             // Flip the regime every 100 samples so the controller keeps
@@ -1552,7 +1509,7 @@ mod tests {
                 scale = if scale == 10.0 { 16.0 } else { 10.0 };
             }
             let e = enc(i);
-            ctl.ingest(&e, scale * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, scale * f64::from(e[0]));
             if i % 4 == 0 {
                 assert!(ctl.audit().len() <= 8, "cap respected at sample {i}");
                 assert!(
@@ -1586,27 +1543,24 @@ mod tests {
     }
 
     #[test]
-    fn deferred_controller_parks_and_installs_through_the_pool_path() {
+    fn parked_controller_accepts_a_delayed_install() {
         let clock = VirtualClock::new();
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
-        let mut ctl = AdaptationController::deferred(&slot, &clock, quick_config());
+        let mut ctl = AdaptationController::new(&slot, &clock, quick_config());
         // Stationary warm-up calibrates the baseline.
         for i in 0..40u64 {
             let e = enc(i);
             ctl.ingest(&e, 10.0 * f64::from(e[0]));
         }
         assert!(!ctl.awaiting_retrain());
-        // Drift: the deferred controller must park instead of training.
+        // Drift: the controller parks and waits for a shadow.
         let mut i = 40u64;
         while !ctl.awaiting_retrain() && i < 400 {
             let e = enc(i);
             ctl.ingest(&e, 16.0 * f64::from(e[0]));
             i += 1;
         }
-        assert!(
-            ctl.awaiting_retrain(),
-            "drift must park a deferred controller"
-        );
+        assert!(ctl.awaiting_retrain(), "drift must park the controller");
         assert_eq!(ctl.phase(), "awaiting_retrain");
         assert_eq!(slot.generation(), 0, "nothing trained, nothing served");
         // The window keeps rolling while parked.
@@ -1617,45 +1571,32 @@ mod tests {
             i += 1;
         }
         assert!(ctl.retrain_window().0.len() >= before.min(quick_config().window));
-        // The pool trains outside and hands the shadow back; the first
-        // window straddles the regime change, so adaptation may need more
-        // than one park → install → promote cycle, exactly like inline.
+        // A late install trains on the rolled window; the first window
+        // straddles the regime change, so adaptation may need more than one
+        // park → install → promote cycle.
         let (encs, obs) = ctl.retrain_window();
         let shadow = slot.with_current(|m| refit(m, &encs, &obs));
         ctl.install_shadow(shadow);
         assert_eq!(ctl.phase(), "validating");
         while i < 800 {
             let e = enc(i);
-            ctl.ingest(&e, 16.0 * f64::from(e[0]));
+            ingest_and_retrain(&mut ctl, &slot, refit, &e, 16.0 * f64::from(e[0]));
             i += 1;
-            if ctl.awaiting_retrain() {
-                let (encs, obs) = ctl.retrain_window();
-                let shadow = slot.with_current(|m| refit(m, &encs, &obs));
-                ctl.install_shadow(shadow);
-            }
         }
-        assert!(slot.generation() >= 1, "deferred shadow promotes normally");
+        assert!(slot.generation() >= 1, "late shadow promotes normally");
         assert!(audit_is_well_formed(ctl.audit()), "{:?}", ctl.audit());
         assert!(
             (slot.with_current(|m| m.scale) - 16.0).abs() < 0.2,
-            "pool-trained shadow converged, got {}",
+            "late-installed shadow converged, got {}",
             slot.with_current(|m| m.scale)
         );
     }
 
     #[test]
-    fn request_retrain_needs_evidence_and_an_idle_deferred_controller() {
+    fn request_retrain_needs_evidence_and_an_idle_controller() {
         let clock = VirtualClock::new();
         let slot = ModelSlot::new(LinearModel { scale: 10.0 });
-        let mut inline = AdaptationController::new(&slot, &clock, quick_config(), refit);
-        for i in 0..40u64 {
-            let e = enc(i);
-            inline.ingest(&e, 10.0 * f64::from(e[0]));
-        }
-        assert!(!inline.request_retrain(), "inline controllers never park");
-
-        let slot2 = ModelSlot::new(LinearModel { scale: 10.0 });
-        let mut ctl = AdaptationController::deferred(&slot2, &clock, quick_config());
+        let mut ctl = AdaptationController::new(&slot, &clock, quick_config());
         assert!(
             !ctl.request_retrain(),
             "no window, no baseline — no evidence to park on"

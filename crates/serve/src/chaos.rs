@@ -12,6 +12,11 @@
 //! Faults are one-shot per call index (atomically claimed), so retries hit
 //! a *healthy* primary on their next call — which is precisely what lets
 //! tests distinguish "retry budget works" from "fault never happened".
+//!
+//! The plan holds serving faults only. Drift bursts, stale predictors and
+//! bad deploys are scenario steps on the simulated board and on the
+//! adaptation API, which the soak exhibits script as `(tick, event)` lists
+//! of their own.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -45,104 +50,11 @@ pub struct ServeFault {
     pub kind: ServeFaultKind,
 }
 
-/// One way the *adaptation loop* is attacked on a scheduled sample tick.
-///
-/// These extend the call-indexed [`ServeFaultKind`]s with the failure modes
-/// the drift/promote/rollback machinery exists to survive. They are keyed by
-/// **sample index** (the adaptation loop's virtual-clock tick), not primary
-/// call index, because the loop observes one live sample per tick regardless
-/// of how many predictor calls that tick costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdaptFaultKind {
-    /// The device's latency surface steps by `scale` from this tick on
-    /// (thermal throttle, power-mode flip) — the drift the monitor must
-    /// detect.
-    DriftBurst {
-        /// Multiplicative latency factor (e.g. 1.35).
-        scale: f64,
-    },
-    /// The *serving* model silently goes stale: its answers gain a constant
-    /// `bias_ms` for `samples` ticks (weight corruption, bad cache entry) —
-    /// staleness with no device drift at all.
-    StalePredictor {
-        /// Additive bias on every served prediction, ms.
-        bias_ms: f64,
-        /// How many sample ticks the corruption lasts.
-        samples: u64,
-    },
-    /// The next promotion deploys a corrupted copy of the validated shadow
-    /// (its predictions gain `bias_ms`) — the bad-deploy failure the
-    /// rollback path exists for. The *validated* candidate was fine; the
-    /// copy that reaches the serving slot is not.
-    BadDeploy {
-        /// Additive bias on the deployed generation's predictions, ms.
-        bias_ms: f64,
-    },
-}
-
-/// An adaptation fault bound to one sample tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptFault {
-    /// 0-based sample index (adaptation tick) this fires on.
-    pub at_sample: u64,
-    /// What happens.
-    pub kind: AdaptFaultKind,
-}
-
-/// One way an entire *fleet* is attacked on a scheduled tick.
-///
-/// Fleet faults address devices by their index in the fleet registry
-/// (e.g. [`DeviceFleet::standard`] order), not by name — the chaos schedule
-/// must stay valid even when a device is renamed.
-///
-/// [`DeviceFleet::standard`]: https://docs.rs/lightnas-fleet
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FleetFaultKind {
-    /// A correlated drift event: every device whose index bit is set in
-    /// `device_mask` steps its latency surface by `scale` from this tick on
-    /// (a heat wave hitting the whole rack, a fleet-wide DVFS policy push).
-    CorrelatedDriftBurst {
-        /// Bit `i` set ⇒ fleet device `i` drifts.
-        device_mask: u64,
-        /// Multiplicative latency factor applied to each masked device.
-        scale: f64,
-    },
-    /// The shared retrain pool is starved (workers seized by a competing
-    /// tenant): zero retrain admissions for `ticks` ticks. Flagged devices
-    /// queue and must neither deadlock nor serve an unvalidated shadow.
-    PoolStarvation {
-        /// How many ticks the pool admits nothing.
-        ticks: u64,
-    },
-    /// Device `device`'s *next* promotion deploys corrupted (predictions
-    /// gain `bias_ms`) — scheduled to land while another device is mid-
-    /// promotion, proving per-device rollback independence.
-    BadDeploy {
-        /// Fleet index of the sabotaged device.
-        device: u32,
-        /// Additive bias on the deployed generation's predictions, ms.
-        bias_ms: f64,
-    },
-}
-
-/// A fleet fault bound to one tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetFault {
-    /// 0-based fleet tick this fires on.
-    pub at_sample: u64,
-    /// What happens.
-    pub kind: FleetFaultKind,
-}
-
 /// A reproducible, one-shot schedule of serving faults.
 #[derive(Debug, Default)]
 pub struct ChaosPlan {
     faults: Vec<ServeFault>,
     fired: Vec<AtomicBool>,
-    adapt_faults: Vec<AdaptFault>,
-    adapt_fired: Vec<AtomicBool>,
-    fleet_faults: Vec<FleetFault>,
-    fleet_fired: Vec<AtomicBool>,
 }
 
 impl ChaosPlan {
@@ -156,47 +68,7 @@ impl ChaosPlan {
         faults.sort_by_key(|f| f.call);
         faults.dedup_by_key(|f| f.call);
         let fired = faults.iter().map(|_| AtomicBool::new(false)).collect();
-        Self {
-            faults,
-            fired,
-            ..Self::default()
-        }
-    }
-
-    /// Adds tick-scheduled adaptation faults to the plan.
-    ///
-    /// Unlike call-indexed faults (dedup'd — one per call), several
-    /// adaptation faults may share a tick, and they fire in **insertion
-    /// order** within it: the sort below is stable and keys on the tick
-    /// only. (The first cut of this schedule sorted by `(tick, kind
-    /// discriminant)`, so a same-tick `DriftBurst` + `BadDeploy` pair fired
-    /// in kind order on one platform and insertion order after a refactor —
-    /// the byte-identity soak caught it; the regression test now pins
-    /// insertion order.)
-    pub fn with_adapt_faults(mut self, faults: Vec<AdaptFault>) -> Self {
-        self.adapt_faults = faults;
-        self.adapt_faults.sort_by_key(|f| f.at_sample);
-        self.adapt_fired = self
-            .adapt_faults
-            .iter()
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        self
-    }
-
-    /// Adds tick-scheduled fleet faults to the plan. Same ordering contract
-    /// as [`with_adapt_faults`](Self::with_adapt_faults): the sort is stable
-    /// and keys on the tick only, so same-tick faults fire in insertion
-    /// order.
-    pub fn with_fleet_faults(mut self, faults: Vec<FleetFault>) -> Self {
-        self.fleet_faults = faults;
-        self.fleet_faults.sort_by_key(|f| f.at_sample);
-        self.fleet_fired = self
-            .fleet_faults
-            .iter()
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        self
+        Self { faults, fired }
     }
 
     /// A seeded plan over roughly `calls` primary calls, covering all three
@@ -259,73 +131,6 @@ impl ChaosPlan {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .ok()
             .map(|_| self.faults[idx].kind)
-    }
-
-    /// The scheduled adaptation faults (tick order; same-tick faults in
-    /// insertion order).
-    pub fn adapt_faults(&self) -> &[AdaptFault] {
-        &self.adapt_faults
-    }
-
-    /// How many adaptation faults have fired so far.
-    pub fn adapt_fired(&self) -> usize {
-        self.adapt_fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Claims every adaptation fault scheduled for `sample`, each at most
-    /// once, **in insertion order** — the contract the one-shot/virtual-
-    /// clock regression test pins (a tick is one instant on a virtual
-    /// clock, so only insertion order can break ties deterministically).
-    pub fn take_adapt(&self, sample: u64) -> Vec<AdaptFaultKind> {
-        // Walk to the first fault at this tick (binary_search may land
-        // anywhere inside an equal run), then claim the run left to right.
-        let start = self.adapt_faults.partition_point(|f| f.at_sample < sample);
-        self.adapt_faults[start..]
-            .iter()
-            .take_while(|f| f.at_sample == sample)
-            .enumerate()
-            .filter_map(|(k, f)| {
-                self.adapt_fired[start + k]
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .ok()
-                    .map(|_| f.kind)
-            })
-            .collect()
-    }
-
-    /// The scheduled fleet faults (tick order; same-tick faults in
-    /// insertion order).
-    pub fn fleet_faults(&self) -> &[FleetFault] {
-        &self.fleet_faults
-    }
-
-    /// How many fleet faults have fired so far.
-    pub fn fleet_fired(&self) -> usize {
-        self.fleet_fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Claims every fleet fault scheduled for `sample`, each at most once,
-    /// in insertion order — the same one-shot/virtual-clock contract as
-    /// [`take_adapt`](Self::take_adapt).
-    pub fn take_fleet(&self, sample: u64) -> Vec<FleetFaultKind> {
-        let start = self.fleet_faults.partition_point(|f| f.at_sample < sample);
-        self.fleet_faults[start..]
-            .iter()
-            .take_while(|f| f.at_sample == sample)
-            .enumerate()
-            .filter_map(|(k, f)| {
-                self.fleet_fired[start + k]
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .ok()
-                    .map(|_| f.kind)
-            })
-            .collect()
     }
 }
 
@@ -406,108 +211,6 @@ mod tests {
         assert!(has(|k| matches!(k, ServeFaultKind::Nan)));
         assert!(has(|k| matches!(k, ServeFaultKind::Panic)));
         assert!(has(|k| matches!(k, ServeFaultKind::Slow { .. })));
-    }
-
-    #[test]
-    fn same_tick_adapt_faults_fire_in_insertion_order_exactly_once() {
-        // Regression: one-shot faults scheduled at the *same* virtual-clock
-        // tick must fire in insertion order (a tick is a single instant on
-        // a VirtualClock, so nothing else can order them deterministically).
-        // Insertion order here is deliberately NOT kind order or magnitude
-        // order.
-        let plan = ChaosPlan::none().with_adapt_faults(vec![
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::StalePredictor {
-                    bias_ms: 4.0,
-                    samples: 10,
-                },
-            },
-            AdaptFault {
-                at_sample: 3,
-                kind: AdaptFaultKind::DriftBurst { scale: 1.5 },
-            },
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::DriftBurst { scale: 1.2 },
-            },
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::BadDeploy { bias_ms: 9.0 },
-            },
-        ]);
-        assert!(plan.take_adapt(0).is_empty());
-        assert_eq!(
-            plan.take_adapt(3),
-            vec![AdaptFaultKind::DriftBurst { scale: 1.5 }]
-        );
-        assert_eq!(
-            plan.take_adapt(7),
-            vec![
-                AdaptFaultKind::StalePredictor {
-                    bias_ms: 4.0,
-                    samples: 10,
-                },
-                AdaptFaultKind::DriftBurst { scale: 1.2 },
-                AdaptFaultKind::BadDeploy { bias_ms: 9.0 },
-            ],
-            "same-tick faults must fire in insertion order"
-        );
-        assert!(
-            plan.take_adapt(7).is_empty(),
-            "one-shot: a tick never re-fires"
-        );
-        assert_eq!(plan.adapt_fired(), 4);
-        // Call-indexed faults are untouched by the adaptation schedule.
-        assert!(plan.faults().is_empty());
-    }
-
-    #[test]
-    fn fleet_faults_are_one_shot_and_insertion_ordered_like_adapt_faults() {
-        let plan = ChaosPlan::none().with_fleet_faults(vec![
-            FleetFault {
-                at_sample: 96,
-                kind: FleetFaultKind::BadDeploy {
-                    device: 4,
-                    bias_ms: 9.0,
-                },
-            },
-            FleetFault {
-                at_sample: 96,
-                kind: FleetFaultKind::CorrelatedDriftBurst {
-                    device_mask: 0b01001,
-                    scale: 1.35,
-                },
-            },
-            FleetFault {
-                at_sample: 40,
-                kind: FleetFaultKind::PoolStarvation { ticks: 32 },
-            },
-        ]);
-        assert!(plan.take_fleet(0).is_empty());
-        assert_eq!(
-            plan.take_fleet(40),
-            vec![FleetFaultKind::PoolStarvation { ticks: 32 }]
-        );
-        assert_eq!(
-            plan.take_fleet(96),
-            vec![
-                FleetFaultKind::BadDeploy {
-                    device: 4,
-                    bias_ms: 9.0,
-                },
-                FleetFaultKind::CorrelatedDriftBurst {
-                    device_mask: 0b01001,
-                    scale: 1.35,
-                },
-            ],
-            "same-tick fleet faults fire in insertion order"
-        );
-        assert!(plan.take_fleet(96).is_empty(), "one-shot per tick");
-        assert_eq!(plan.fleet_fired(), 3);
-        // The per-device and per-call schedules are untouched.
-        assert!(plan.faults().is_empty());
-        assert!(plan.adapt_faults().is_empty());
     }
 
     #[test]

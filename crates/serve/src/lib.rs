@@ -27,9 +27,9 @@
 //!   chaos soak asserts byte-identical telemetry across same-seed runs.
 //! * [`ChaosPlan`] / [`ChaosPredictor`] — seeded, one-shot fault schedules
 //!   (NaN bursts, panics, slow responses) in the same idiom as the
-//!   runtime's `FaultPlan`; [`AdaptFault`]s additionally script drift
-//!   bursts, stale predictors, and bad deploys against the adaptation
-//!   layer.
+//!   runtime's `FaultPlan`. Drift bursts, stale predictors and bad deploys
+//!   are scenario steps the soak exhibits script themselves, through
+//!   [`ModelSlot::inject_bias`] and [`AdaptationController::arm_bad_deploy`].
 //! * [`ServingTier`] — deploy-time choice of kernel tier and weight
 //!   precision: strict bit-reproducible serving (default), opt-in fast
 //!   kernels (`LIGHTNAS_KERNEL_MODE=fast`), or fast kernels over
@@ -37,9 +37,11 @@
 //! * [`AdaptationController`] / [`ModelSlot`] / [`DriftMonitor`] — the
 //!   drift-safe adaptation layer: live samples stream in, staleness is
 //!   detected from windowed residuals (RMSE ratio + Spearman rank
-//!   correlation), a shadow is fine-tuned and validated on paired live
-//!   traffic, and promotion/rollback is audited ([`AdaptEvent`]) with the
-//!   breaker as the rollback blast door (see DESIGN.md §13).
+//!   correlation), the controller parks until the caller installs a
+//!   shadow fine-tuned on the live window, the shadow is validated on
+//!   paired live traffic, and promotion/rollback is audited
+//!   ([`AdaptEvent`]) with the breaker as the rollback blast door (see
+//!   DESIGN.md §13).
 //!
 //! # Example
 //!
@@ -75,14 +77,11 @@ mod tier;
 
 pub use adapt::{
     audit_is_well_formed, audit_is_well_formed_with, spearman, AdaptConfig, AdaptEvent,
-    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot, ShadowTrainer,
-    StalenessReport, DEFAULT_AUDIT_CAP,
+    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot, StalenessReport,
+    DEFAULT_AUDIT_CAP,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use chaos::{
-    AdaptFault, AdaptFaultKind, ChaosPlan, ChaosPredictor, FleetFault, FleetFaultKind, ServeFault,
-    ServeFaultKind,
-};
+pub use chaos::{ChaosPlan, ChaosPredictor, ServeFault, ServeFaultKind};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::ServeError;
 pub use health::{DeviceGeneration, HealthSnapshot};

@@ -58,7 +58,7 @@ impl Default for TenantQuota {
 }
 
 /// Knobs of a [`SearchService`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchServiceConfig {
     /// Shared watermarks over the total queued-job depth (all tenants).
     pub admission: AdmissionPolicy,
@@ -66,22 +66,8 @@ pub struct SearchServiceConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides (e.g. a paying tenant gets more).
     pub quotas: HashMap<String, TenantQuota>,
-    /// How many shards the shared predictor cache is split across.
-    pub cache_shards: usize,
     /// How each drained batch executes (workers, retries, checkpoints, …).
     pub sweep: SweepOptions,
-}
-
-impl Default for SearchServiceConfig {
-    fn default() -> Self {
-        Self {
-            admission: AdmissionPolicy::default(),
-            default_quota: TenantQuota::default(),
-            quotas: HashMap::new(),
-            cache_shards: lightnas_predictor::DEFAULT_CACHE_SHARDS,
-            sweep: SweepOptions::default(),
-        }
-    }
 }
 
 impl SearchServiceConfig {
@@ -278,14 +264,15 @@ pub struct SearchService<'a, P: Predictor + Sync> {
 
 impl<'a, P: Predictor + Sync> SearchService<'a, P> {
     /// A service over `predictor`, wrapped in a fresh sharded cache with
-    /// [`SearchServiceConfig::cache_shards`] shards.
+    /// [`DEFAULT_CACHE_SHARDS`](lightnas_predictor::DEFAULT_CACHE_SHARDS)
+    /// shards.
     pub fn new(
         oracle: &'a AccuracyOracle,
         predictor: &'a P,
         config: SearchServiceConfig,
         telemetry: Option<&'a Telemetry>,
     ) -> Self {
-        let cached = CachedPredictor::with_shards(predictor, config.cache_shards);
+        let cached = CachedPredictor::new(predictor);
         Self {
             oracle,
             cached,

@@ -10,7 +10,8 @@
 //! * the promote/rollback state machine never serves an unvalidated
 //!   shadow: the deployment generation moves only through audited
 //!   promotions (each behind a passing verdict) and rollbacks, no matter
-//!   where chaos bias or a bad deploy lands.
+//!   where chaos bias or a bad deploy lands, or how long the retrained
+//!   shadow takes to arrive.
 
 use proptest::prelude::*;
 
@@ -126,11 +127,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Drive the full controller through arbitrary regime changes with a
-    /// stale-bias fault and a bad deploy landing at arbitrary points. At
-    /// every single sample: the audit trail stays well-formed (promotions
-    /// only behind passing verdicts) and the serving generation equals
-    /// exactly the audited deployments — an unvalidated shadow has no path
-    /// into the slot.
+    /// stale-bias fault and a bad deploy landing at arbitrary points, and
+    /// the shadow installed `retrain_delay` samples after each park (a
+    /// fleet device queued behind the pool). At every single sample: the
+    /// audit trail stays well-formed (promotions only behind passing
+    /// verdicts) and the serving generation equals exactly the audited
+    /// deployments — an unvalidated shadow has no path into the slot.
     #[test]
     fn generation_moves_only_through_audited_deployments(
         seg_lens in proptest::collection::vec(20usize..60, 4),
@@ -140,6 +142,7 @@ proptest! {
         bias_n in 1u64..40,
         bad_deploy_at in 0usize..150,
         bad_bias in 20.0f64..80.0,
+        retrain_delay in 0usize..20,
     ) {
         let regimes: Vec<(usize, f64)> =
             seg_lens.iter().copied().zip(seg_scales.iter().copied()).collect();
@@ -156,9 +159,9 @@ proptest! {
                 cooldown: 8,
                 ..AdaptConfig::default()
             },
-            refit,
         );
         let mut i = 0u64;
+        let mut parked = 0usize;
         for &(len, scale) in &regimes {
             for _ in 0..len {
                 if i as usize == bias_at {
@@ -169,6 +172,15 @@ proptest! {
                 }
                 let e = vec![lane(i) as f32, 0.0];
                 ctl.ingest(&e, scale * lane(i));
+                if ctl.awaiting_retrain() {
+                    if parked == retrain_delay {
+                        let (encs, obs) = ctl.retrain_window();
+                        ctl.install_shadow(slot.with_current(|m| refit(m, &encs, &obs)));
+                        parked = 0;
+                    } else {
+                        parked += 1;
+                    }
+                }
                 let audit = ctl.audit();
                 prop_assert!(audit_is_well_formed(audit), "{audit:?}");
                 let promotions = audit

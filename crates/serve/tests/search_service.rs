@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 use lightnas::SearchConfig;
 use lightnas_eval::AccuracyOracle;
 use lightnas_hw::Xavier;
-use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
+use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig, DEFAULT_CACHE_SHARDS};
 use lightnas_runtime::{run_sweep, JobStatus, SearchJob, SweepOptions};
 use lightnas_serve::{
     search_audit_is_well_formed, AdmissionPolicy, Priority, SearchEvent, SearchServeError,
@@ -267,7 +267,6 @@ fn chaos_storm_of_tenant_submissions_is_fair_typed_and_fully_accounted() {
             },
             default_quota: TenantQuota { max_queued_jobs: 6 },
             quotas,
-            cache_shards: 8,
             sweep: SweepOptions::with_workers(2),
         },
         None,
@@ -378,7 +377,7 @@ fn chaos_storm_of_tenant_submissions_is_fair_typed_and_fully_accounted() {
     assert_eq!(health.submitted, admissions + rejections);
     assert_eq!(health.served, admissions);
     assert!(health.fully_accounted(), "{health:?}");
-    assert_eq!(health.cache_shards.len(), 8);
+    assert_eq!(health.cache_shards.len(), DEFAULT_CACHE_SHARDS);
     assert!(
         health.cache_hits > 0,
         "a 60-round storm must produce cache hits"
