@@ -57,6 +57,16 @@ impl Linear {
         self.out_features
     }
 
+    /// The weight, shaped `[in_features, out_features]`.
+    pub fn weight(&self) -> ParamId {
+        self.w
+    }
+
+    /// The bias, shaped `[out_features]`, if the layer has one.
+    pub fn bias(&self) -> Option<ParamId> {
+        self.b
+    }
+
     /// Applies the layer to `x` of shape `[batch, in_features]`.
     pub fn forward(&self, g: &mut Graph, b: &mut Bindings, store: &ParamStore, x: Var) -> Var {
         let w = b.bind(g, store, self.w);
@@ -419,6 +429,11 @@ impl Mlp {
     /// Number of linear layers.
     pub fn depth(&self) -> usize {
         self.layers.len()
+    }
+
+    /// The linear layers, input side first. Every one has a bias.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
     }
 
     /// Applies the MLP (ReLU after every layer but the last).

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use lightnas_tensor::kernels::{adam_update, AdamUpdate};
 use lightnas_tensor::{Graph, Tensor};
 
 use crate::{Bindings, ParamId, ParamStore};
@@ -138,15 +139,35 @@ impl Adam {
     ///
     /// All parameters in one `step` call share a single time increment.
     pub fn step(&mut self, store: &mut ParamStore, g: &Graph, bindings: &Bindings) {
-        self.t += 1;
-        let t = self.t;
-        bindings.for_each_gradient(g, |id, grad| self.apply_at(store, id, grad, t));
+        let h = self.advance();
+        bindings.for_each_gradient(g, |id, grad| self.apply_with(store, id, grad, &h));
     }
 
     /// Applies one update to a single parameter, advancing the step counter.
     pub fn apply(&mut self, store: &mut ParamStore, id: ParamId, grad: &Tensor) {
+        let h = self.advance();
+        self.apply_with(store, id, grad, &h);
+    }
+
+    /// Advances the step counter and returns the new step's update
+    /// hyper-parameters, bias corrections included.
+    ///
+    /// [`step`](Self::step) and [`apply`](Self::apply) run on this; a caller
+    /// that keeps its own moment buffers (the predictor fit) calls it once
+    /// per step and hands the result to
+    /// [`lightnas_tensor::kernels::adam_update`] for every parameter.
+    pub fn advance(&mut self) -> AdamUpdate {
         self.t += 1;
-        self.apply_at(store, id, grad, self.t);
+        let t = self.t as i32;
+        AdamUpdate {
+            weight_decay: self.weight_decay,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            lr: self.lr,
+            s1: 1.0 / (1.0 - self.beta1.powi(t)),
+            s2: 1.0 / (1.0 - self.beta2.powi(t)),
+        }
     }
 
     /// Fully in-place Adam update. Each element runs the exact rounding
@@ -157,16 +178,7 @@ impl Adam {
     /// elementwise traffic runs through
     /// [`lightnas_tensor::kernels::adam_update`], which vectorizes the
     /// update when the SIMD kernels are active (identical bits either way).
-    fn apply_at(&mut self, store: &mut ParamStore, id: ParamId, grad: &Tensor, t: u64) {
-        let h = lightnas_tensor::kernels::AdamUpdate {
-            weight_decay: self.weight_decay,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
-            lr: self.lr,
-            s1: 1.0 / (1.0 - self.beta1.powi(t as i32)),
-            s2: 1.0 / (1.0 - self.beta2.powi(t as i32)),
-        };
+    fn apply_with(&mut self, store: &mut ParamStore, id: ParamId, grad: &Tensor, h: &AdamUpdate) {
         let st = self.state.entry(id).or_insert_with(|| AdamState {
             m: Tensor::zeros(grad.shape().dims()),
             v: Tensor::zeros(grad.shape().dims()),
@@ -179,12 +191,12 @@ impl Adam {
             w.shape(),
             grad.shape()
         );
-        lightnas_tensor::kernels::adam_update(
+        adam_update(
             w.as_mut_slice(),
             grad.as_slice(),
             st.m.as_mut_slice(),
             st.v.as_mut_slice(),
-            &h,
+            h,
         );
     }
 }

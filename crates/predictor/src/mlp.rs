@@ -1,10 +1,18 @@
 //! The MLP metric predictor (three FC layers: 128, 64, 1 — paper Sec. 3.2).
 
-use lightnas_nn::layers::Mlp;
+use std::cell::{RefCell, UnsafeCell};
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::Barrier;
+
+use lightnas_nn::layers::{Linear, Mlp};
 use lightnas_nn::optim::Adam;
 use lightnas_nn::{Bindings, ParamStore};
 use lightnas_space::{Architecture, NUM_OPS, TOTAL_LAYERS};
-use lightnas_tensor::{Graph, Tensor};
+use lightnas_tensor::kernels::{
+    adam_update, matmul_into, matmul_nt_into, matmul_tn_into, AdamUpdate, PAR_MIN_FLOPS,
+};
+use lightnas_tensor::{Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -14,23 +22,24 @@ use crate::MetricDataset;
 pub const INPUT_WIDTH: usize = TOTAL_LAYERS * NUM_OPS;
 
 thread_local! {
-    /// Scratch tape reused by the frozen-network query paths (predict /
-    /// gradient). [`Graph::reset`] keeps the node and pool storage warm. The
-    /// graph copies each query's encoding into its own pool and drops the
-    /// caller's buffer, so the pool holds one query's working set however
-    /// many queries the thread has run, and a query costs the same on the
-    /// first call and the millionth.
-    static SCRATCH: std::cell::RefCell<(Graph, Bindings)> =
-        std::cell::RefCell::new((Graph::new(), Bindings::new()));
+    /// Scratch tape reused by the query paths (predict / gradient). They bind
+    /// the network [frozen](Bindings::frozen): weights and biases enter as
+    /// constants, so a gradient query's backward runs only the
+    /// input-gradient chain. [`Graph::reset`] keeps the node and pool storage
+    /// warm. The graph copies each query's encoding into its own pool and
+    /// drops the caller's buffer, so the pool holds one query's working set
+    /// however many queries the thread has run, and a query costs the same
+    /// on the first call and the millionth. Training never uses the tape
+    /// (see [`fit`]).
+    static SCRATCH: RefCell<Graph> = RefCell::new(Graph::new());
 }
 
 /// Runs `f` with the thread-local scratch graph, reset and ready to record.
-fn with_scratch<R>(f: impl FnOnce(&mut Graph, &mut Bindings) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
     SCRATCH.with(|cell| {
-        let (g, bind) = &mut *cell.borrow_mut();
+        let g = &mut *cell.borrow_mut();
         g.reset();
-        bind.clear();
-        f(g, bind)
+        f(g)
     })
 }
 
@@ -38,7 +47,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut Graph, &mut Bindings) -> R) -> R {
 /// buffer the last query used is back in it.
 #[cfg(test)]
 fn scratch_pool_stats() -> lightnas_tensor::PoolStats {
-    with_scratch(|g, _| g.pool_stats())
+    with_scratch(|g| g.pool_stats())
 }
 
 /// Training hyper-parameters of the predictor.
@@ -46,7 +55,7 @@ fn scratch_pool_stats() -> lightnas_tensor::PoolStats {
 pub struct TrainConfig {
     /// Passes over the training fold.
     pub epochs: usize,
-    /// Mini-batch size.
+    /// Mini-batch size (at least 1).
     pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
@@ -81,8 +90,31 @@ pub struct MlpPredictor {
 }
 
 /// Runs the standard Adam/mini-batch loop over `train` against standardized
-/// targets, mutating `store` in place (shared by [`MlpPredictor::train`] and
-/// [`MlpPredictor::fine_tune`]).
+/// targets, mutating `store` in place (shared by [`MlpPredictor::train`],
+/// [`MlpPredictor::fine_tune`] and [`MlpPredictor::fine_tune_incremental`]),
+/// on as many participants as [`participants`] gives it.
+///
+/// The loop calls the kernels directly and never builds a tape: every buffer
+/// it uses is allocated once per fit, so a step allocates nothing outside
+/// the kernels' own thread-local scratch pools. Each step runs in two phases
+/// with a barrier after each:
+///
+/// 1. **Rows.** Each participant takes a contiguous block of the batch's
+///    rows through the forward pass, the MSE output gradient and the
+///    input-gradient chain. All of that is row-local, and every strict
+///    kernel path computes an output row the same way whatever the row
+///    count, so a block's rows get the bits the whole batch would.
+/// 2. **Layers.** Each participant owns whole layers (layer `l` belongs to
+///    participant `l mod count`) and computes their weight gradient `aᵀ·g`
+///    over all rows, their bias gradient and their Adam update. Each
+///    weight-gradient element is one kernel accumulation chain on one
+///    participant, as on the tape.
+///
+/// On the strict tier every per-element operation is the tape's, so the
+/// weights are bit-identical to the tape loop's (kept in the tests as the
+/// oracle) at every participant count. The fast tier tunes its kernels per
+/// shape, so there a block's row count may pick other kernels, within the
+/// fast tier's usual tolerance.
 fn fit(
     store: &mut ParamStore,
     mlp: &Mlp,
@@ -91,43 +123,401 @@ fn fit(
     mean: f64,
     std: f64,
 ) {
-    let n = train.len();
-    let mut opt = Adam::new(config.lr, 1e-5);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
-    let mut order: Vec<usize> = (0..n).collect();
-    // One tape and one input-batch buffer for the whole run: `reset` keeps
-    // the tape's node and pooled buffer capacity, and the batch is refilled
-    // in place (the tape copies it into pooled storage), so a steady-state
-    // step allocates no tensor storage. It still allocates the target
-    // vector (one `f32` per row) and a small shape vector for each tensor
-    // it creates: the batch and target wrappers and every node value and
-    // gradient on the tape.
-    let mut g = Graph::new();
-    let mut bind = Bindings::new();
-    let mut x = Vec::with_capacity(config.batch_size.min(n) * INPUT_WIDTH);
-    for _ in 0..config.epochs {
-        // Fisher-Yates shuffle per epoch.
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
+    let count = participants(mlp, train.len(), config.batch_size);
+    fit_on(store, mlp, train, config, mean, std, count);
+}
+
+/// How many participants share a fit's steps. One while a step's
+/// multiply-adds, `min(batch_size, rows) × Σ fan_in·fan_out`, stay under the
+/// kernels' [`PAR_MIN_FLOPS`] (for the paper MLP: batches under 75 rows);
+/// otherwise one per hardware thread, capped at one per layer because a
+/// layer is phase 2's unit of work. The kernel thread knob
+/// ([`lightnas_tensor::set_num_threads`]) plays no part.
+fn participants(mlp: &Mlp, rows: usize, batch_size: usize) -> usize {
+    let macs: usize = mlp
+        .layers()
+        .iter()
+        .map(|l| l.in_features() * l.out_features())
+        .sum();
+    if batch_size.min(rows) * macs < PAR_MIN_FLOPS {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(mlp.depth())
+}
+
+/// [`fit`] on `participants` participants (clamped to `1..=depth`): the
+/// calling thread and scoped helpers spawned for this call and joined before
+/// it returns. The weights do not depend on the count.
+fn fit_on(
+    store: &mut ParamStore,
+    mlp: &Mlp,
+    train: &MetricDataset,
+    config: &TrainConfig,
+    mean: f64,
+    std: f64,
+    participants: usize,
+) {
+    let rows = config.batch_size.min(train.len());
+    let layers: Vec<FitLayer> = mlp
+        .layers()
+        .iter()
+        .map(|lin| FitLayer::new(store, lin, rows))
+        .collect();
+    let participants = participants.clamp(1, layers.len());
+    let fit = Fit {
+        train,
+        config,
+        mean,
+        std,
+        layers,
+        participants,
+        barrier: Barrier::new(participants),
+    };
+    std::thread::scope(|s| {
+        for me in 1..participants {
+            let fit = &fit;
+            s.spawn(move || fit.participate(me));
         }
-        for chunk in order.chunks(config.batch_size) {
-            let b = chunk.len();
-            x.clear();
-            let mut y = Vec::with_capacity(b);
-            for &i in chunk {
-                x.extend_from_slice(&train.encodings()[i]);
-                y.push(((train.targets()[i] - mean) / std) as f32);
+        fit.participate(0);
+    });
+    for (lin, mut layer) in mlp.layers().iter().zip(fit.layers) {
+        layer.w.copy_to(store.get_mut(lin.weight()).as_mut_slice());
+        layer.b.copy_to(store.get_mut(bias_of(lin)).as_mut_slice());
+    }
+}
+
+/// Rejects a zero batch size before any work starts.
+fn assert_batch_size(config: &TrainConfig) {
+    assert!(
+        config.batch_size > 0,
+        "TrainConfig::batch_size must be at least 1"
+    );
+}
+
+fn bias_of(lin: &Linear) -> lightnas_nn::ParamId {
+    lin.bias().expect("every Mlp layer has a bias")
+}
+
+/// What a fit's participants share.
+struct Fit<'a> {
+    train: &'a MetricDataset,
+    config: &'a TrainConfig,
+    mean: f64,
+    std: f64,
+    layers: Vec<FitLayer>,
+    participants: usize,
+    /// Ends each phase: phase 1 writes only the participant's own rows and
+    /// phase 2 only its own layers, so a wait orders every write of one
+    /// phase before every read of the next. It blocks rather than spins: a
+    /// spinning waiter steals the core a busy host's other threads need.
+    barrier: Barrier,
+}
+
+/// One layer's shared buffers.
+struct FitLayer {
+    fan_in: usize,
+    fan_out: usize,
+    /// Weight (`[fan_in, fan_out]`) and bias (`[fan_out]`): every
+    /// participant reads them in phase 1, the layer's owner updates them in
+    /// phase 2.
+    w: Shared,
+    b: Shared,
+    /// The layer's input for every row of the batch, `[rows, fan_in]` (the
+    /// encodings for the first layer), and its output gradient
+    /// `∂loss/∂z`, `[rows, fan_out]`: each participant writes its own rows
+    /// in phase 1, the layer's owner reads all of them in phase 2.
+    input: Shared,
+    grad: Shared,
+}
+
+impl FitLayer {
+    fn new(store: &ParamStore, lin: &Linear, rows: usize) -> Self {
+        let (fan_in, fan_out) = (lin.in_features(), lin.out_features());
+        Self {
+            fan_in,
+            fan_out,
+            w: Shared::from_slice(store.get(lin.weight()).as_slice()),
+            b: Shared::from_slice(store.get(bias_of(lin)).as_slice()),
+            input: Shared::zeroed(rows * fan_in),
+            grad: Shared::zeroed(rows * fan_out),
+        }
+    }
+}
+
+/// A layer's phase-2 state, private to its owner: the weight's and the
+/// bias's gradient and Adam moments.
+struct Owned {
+    layer: usize,
+    w: AdamState,
+    b: AdamState,
+}
+
+/// One parameter's gradient and first and second Adam moments.
+struct AdamState {
+    grad: Vec<f32>,
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
+impl AdamState {
+    fn new(len: usize) -> Self {
+        Self {
+            grad: vec![0.0; len],
+            m: vec![0.0; len],
+            v: vec![0.0; len],
+        }
+    }
+
+    fn apply(&mut self, param: &mut [f32], h: &AdamUpdate) {
+        adam_update(param, &self.grad, &mut self.m, &mut self.v, h);
+    }
+}
+
+/// Element range of rows `rows` in a row-major buffer `width` wide.
+fn span(rows: &Range<usize>, width: usize) -> Range<usize> {
+    rows.start * width..rows.end * width
+}
+
+impl Fit<'_> {
+    /// One participant's whole fit.
+    fn participate(&self, me: usize) {
+        let (config, layers) = (self.config, &self.layers);
+        let n = self.train.len();
+        let block = config.batch_size.min(n).div_ceil(self.participants);
+        // Pre-activations and targets of this participant's rows.
+        let mut z: Vec<Vec<f32>> = layers
+            .iter()
+            .map(|l| vec![0.0; block * l.fan_out])
+            .collect();
+        let mut y = vec![0.0f32; block];
+        let mut owned: Vec<Owned> = (me..layers.len())
+            .step_by(self.participants)
+            .map(|l| Owned {
+                layer: l,
+                w: AdamState::new(layers[l].fan_in * layers[l].fan_out),
+                b: AdamState::new(layers[l].fan_out),
+            })
+            .collect();
+        let mut adam = Adam::new(config.lr, 1e-5);
+        let mut turns = Turns {
+            barrier: &self.barrier,
+            left: 2 * config.epochs * n.div_ceil(config.batch_size),
+        };
+        // Every participant replays the same seeded shuffle, so each knows
+        // the batch's rows without a hand-off.
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..config.epochs {
+            // Fisher-Yates shuffle per epoch.
+            for i in (1..n).rev() {
+                let j = rng.random_range(0..=i);
+                order.swap(i, j);
             }
-            g.reset();
-            bind.clear();
-            let batch = Tensor::from_vec(std::mem::take(&mut x), &[b, INPUT_WIDTH]);
-            let xv = g.input_ref(&batch);
-            x = batch.into_vec();
-            let pred = mlp.forward(&mut g, &mut bind, store, xv);
-            let loss = g.mse_loss(pred, Tensor::from_vec(y, &[b, 1]));
-            g.backward(loss);
-            opt.step(store, &g, &bind);
+            for chunk in order.chunks(config.batch_size) {
+                let per = chunk.len().div_ceil(self.participants);
+                let rows = (me * per).min(chunk.len())..((me + 1) * per).min(chunk.len());
+                self.rows_phase(chunk, rows, &mut z, &mut y);
+                turns.wait();
+                let h = adam.advance();
+                for own in &mut owned {
+                    self.layer_phase(me, own, chunk.len(), &h);
+                }
+                turns.wait();
+            }
+        }
+    }
+
+    /// Phase 1 over rows `rows` of the batch `chunk` (dataset indices): the
+    /// forward pass, `z = a·W + b` and `a' = max(z, 0)` on every layer but
+    /// the last; the MSE output gradient `(p − t)·2/b` over the whole
+    /// batch's `b` rows; then `d = g·Wᵀ` masked by `z > 0` down to the first
+    /// layer's output gradient. Nothing computes a gradient for the inputs.
+    fn rows_phase(&self, chunk: &[usize], rows: Range<usize>, z: &mut [Vec<f32>], y: &mut [f32]) {
+        let layers = &self.layers;
+        let (m, last) = (rows.len(), layers.len() - 1);
+        let picks = &chunk[rows.clone()];
+        let first = &layers[0];
+        // SAFETY: phase 1 writes only this participant's rows, a block no
+        // other participant touches before the barrier; the barrier that
+        // ended the last phase 2 ordered its reads of them before this.
+        let x = unsafe { first.input.write(span(&rows, first.fan_in)) };
+        for (dst, &i) in x.chunks_exact_mut(first.fan_in).zip(picks) {
+            dst.copy_from_slice(&self.train.encodings()[i]);
+        }
+        for (t, &i) in y.iter_mut().zip(picks) {
+            *t = ((self.train.targets()[i] - self.mean) / self.std) as f32;
+        }
+        for (l, layer) in layers.iter().enumerate() {
+            let (fan_in, fan_out) = (layer.fan_in, layer.fan_out);
+            let zl = &mut z[l][..m * fan_out];
+            // SAFETY: phase 1 reads this participant's own rows, written
+            // above on this thread, and the weights, which only phase 2
+            // writes.
+            let (a, w, b) = unsafe {
+                (
+                    layer.input.read(span(&rows, fan_in)),
+                    layer.w.read(0..fan_in * fan_out),
+                    layer.b.read(0..fan_out),
+                )
+            };
+            matmul_into(a, w, m, fan_in, fan_out, zl);
+            for row in zl.chunks_exact_mut(fan_out) {
+                for (v, &bias) in row.iter_mut().zip(b) {
+                    *v += bias;
+                }
+            }
+            if let Some(next) = layers.get(l + 1) {
+                // SAFETY: phase 1 writes only this participant's rows.
+                let out = unsafe { next.input.write(span(&rows, fan_out)) };
+                for (o, &v) in out.iter_mut().zip(zl.iter()) {
+                    *o = v.max(0.0);
+                }
+            }
+        }
+        // The tape seeds the loss with 1, so its MSE scale is 2·1/b.
+        let s = 2.0 / chunk.len() as f32;
+        // SAFETY: phase 1 writes only this participant's rows.
+        let g = unsafe { layers[last].grad.write(span(&rows, layers[last].fan_out)) };
+        for ((gi, &p), &t) in g.iter_mut().zip(&z[last]).zip(y.iter()) {
+            *gi = (p - t) * s;
+        }
+        for l in (1..layers.len()).rev() {
+            let (layer, below) = (&layers[l], &layers[l - 1]);
+            // SAFETY: phase 1 reads this participant's own rows and the
+            // weights, and writes only its own rows of the layer below.
+            let (g, w, d) = unsafe {
+                (
+                    layer.grad.read(span(&rows, layer.fan_out)),
+                    layer.w.read(0..layer.fan_in * layer.fan_out),
+                    below.grad.write(span(&rows, below.fan_out)),
+                )
+            };
+            matmul_nt_into(g, w, m, layer.fan_out, layer.fan_in, d);
+            for (gi, &zv) in d.iter_mut().zip(&z[l - 1]) {
+                *gi *= if zv > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+    }
+
+    /// Phase 2 for one of this participant's layers over the batch's `rows`
+    /// rows: the weight gradient `aᵀ·g` and the bias gradient (rows added in
+    /// ascending order from `+0.0`), then Adam on both.
+    fn layer_phase(&self, me: usize, own: &mut Owned, rows: usize, h: &AdamUpdate) {
+        let layer = &self.layers[own.layer];
+        let (fan_in, fan_out) = (layer.fan_in, layer.fan_out);
+        debug_assert_eq!(
+            own.layer % self.participants,
+            me,
+            "another participant's layer"
+        );
+        // SAFETY: phase 2 writes no row buffer, so after the barrier every
+        // row is stable until the next one.
+        let (a, g) = unsafe {
+            (
+                layer.input.read(0..rows * fan_in),
+                layer.grad.read(0..rows * fan_out),
+            )
+        };
+        matmul_tn_into(a, g, rows, fan_in, fan_out, &mut own.w.grad);
+        own.b.grad.fill(0.0);
+        for row in g.chunks_exact(fan_out) {
+            for (o, &v) in own.b.grad.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        // SAFETY: phase 2 writes a layer's weights on its one owner only,
+        // and no participant reads them again before the barrier.
+        let (w, b) = unsafe {
+            (
+                layer.w.write(0..fan_in * fan_out),
+                layer.b.write(0..fan_out),
+            )
+        };
+        own.w.apply(w, h);
+        own.b.apply(b, h);
+    }
+}
+
+/// One participant's share of the step barrier: every participant waits
+/// twice per step. If a participant unwinds, dropping its `Turns` takes its
+/// remaining waits, so the others run to the end instead of parking forever
+/// and the scope's join re-raises the panic on the caller.
+struct Turns<'a> {
+    barrier: &'a Barrier,
+    left: usize,
+}
+
+impl Turns<'_> {
+    fn wait(&mut self) {
+        self.left -= 1;
+        self.barrier.wait();
+    }
+}
+
+impl Drop for Turns<'_> {
+    fn drop(&mut self) {
+        while self.left > 0 {
+            self.wait();
+        }
+    }
+}
+
+/// An `f32` buffer the fit's participants share, and the only place the fit
+/// reaches memory through a shared reference. Callers rule out conflicting
+/// access by phase: phase 1 touches only its own rows of the row buffers,
+/// phase 2 only its own layers' weights, and the barrier between phases
+/// orders every write before the next phase's reads.
+struct Shared {
+    cells: Box<[UnsafeCell<f32>]>,
+}
+
+// SAFETY: every access goes through `read`/`write`, whose callers guarantee
+// that no element is written while another thread reads or writes it.
+unsafe impl Sync for Shared {}
+
+impl Shared {
+    fn from_slice(values: &[f32]) -> Self {
+        Self {
+            cells: values.iter().map(|&v| UnsafeCell::new(v)).collect(),
+        }
+    }
+
+    fn zeroed(len: usize) -> Self {
+        Self {
+            cells: (0..len).map(|_| UnsafeCell::new(0.0)).collect(),
+        }
+    }
+
+    /// # Safety
+    ///
+    /// No other thread may write any element of `range` while the returned
+    /// slice lives.
+    unsafe fn read(&self, range: Range<usize>) -> &[f32] {
+        debug_assert!(range.end <= self.cells.len(), "read past the buffer");
+        let cells = &self.cells[range];
+        // SAFETY: `UnsafeCell<f32>` has `f32`'s layout, and the caller rules
+        // out writers.
+        unsafe { std::slice::from_raw_parts(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    }
+
+    /// # Safety
+    ///
+    /// No other thread may read or write any element of `range` while the
+    /// returned slice lives.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn write(&self, range: Range<usize>) -> &mut [f32] {
+        debug_assert!(range.end <= self.cells.len(), "write past the buffer");
+        let cells = &self.cells[range];
+        // SAFETY: `UnsafeCell<f32>` has `f32`'s layout, and the caller rules
+        // out every other access.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    }
+
+    fn copy_to(&mut self, dst: &mut [f32]) {
+        for (d, c) in dst.iter_mut().zip(self.cells.iter_mut()) {
+            *d = *c.get_mut();
         }
     }
 }
@@ -137,9 +527,10 @@ impl MlpPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `train` is empty.
+    /// Panics if `train` is empty or `config.batch_size` is 0.
     pub fn train(train: &MetricDataset, config: &TrainConfig) -> Self {
         assert!(!train.is_empty(), "cannot train on an empty dataset");
+        assert_batch_size(config);
         let mut store = ParamStore::new();
         let mlp = Mlp::new(
             &mut store,
@@ -170,9 +561,10 @@ impl MlpPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `train` is empty.
+    /// Panics if `train` is empty or `config.batch_size` is 0.
     pub fn fine_tune(&self, train: &MetricDataset, config: &TrainConfig) -> Self {
         assert!(!train.is_empty(), "cannot fine-tune on an empty dataset");
+        assert_batch_size(config);
         let mut store = self.store.clone();
         let mlp = self.mlp.clone();
         let mean = train.target_mean();
@@ -203,9 +595,10 @@ impl MlpPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `train` is empty.
+    /// Panics if `train` is empty or `config.batch_size` is 0.
     pub fn fine_tune_incremental(&self, train: &MetricDataset, config: &TrainConfig) -> Self {
         assert!(!train.is_empty(), "cannot fine-tune on an empty dataset");
+        assert_batch_size(config);
         let mut store = self.store.clone();
         let mlp = self.mlp.clone();
         fit(&mut store, &mlp, train, config, self.mean, self.std);
@@ -215,6 +608,12 @@ impl MlpPredictor {
             mean: self.mean,
             std: self.std,
         }
+    }
+
+    /// Records the frozen network on `g`: weights and biases enter as
+    /// constants ([`Bindings::frozen`]), so backward reaches only `x`.
+    fn forward(&self, g: &mut Graph, x: Var) -> Var {
+        self.mlp.forward(g, &mut Bindings::frozen(), &self.store, x)
     }
 
     /// Predicts the metric for a flattened encoding.
@@ -228,9 +627,9 @@ impl MlpPredictor {
             INPUT_WIDTH,
             "encoding must have {INPUT_WIDTH} values"
         );
-        with_scratch(|g, bind| {
+        with_scratch(|g| {
             let x = g.input(Tensor::from_vec(encoding.to_vec(), &[1, INPUT_WIDTH]));
-            let out = self.mlp.forward(g, bind, &self.store, x);
+            let out = self.forward(g, x);
             g.value(out).as_slice()[0] as f64 * self.std + self.mean
         })
     }
@@ -264,9 +663,9 @@ impl MlpPredictor {
             );
             x.extend_from_slice(enc);
         }
-        with_scratch(|g, bind| {
+        with_scratch(|g| {
             let xv = g.input(Tensor::from_vec(x, &[b, INPUT_WIDTH]));
-            let out = self.mlp.forward(g, bind, &self.store, xv);
+            let out = self.forward(g, xv);
             g.value(out)
                 .as_slice()
                 .iter()
@@ -289,10 +688,11 @@ impl MlpPredictor {
             INPUT_WIDTH,
             "encoding must have {INPUT_WIDTH} values"
         );
-        with_scratch(|g, bind| {
-            // The input is registered as a parameter so backward reaches it.
+        with_scratch(|g| {
+            // The input is registered as a parameter so backward reaches it;
+            // the frozen weights receive no gradient.
             let x = g.parameter(Tensor::from_vec(encoding.to_vec(), &[1, INPUT_WIDTH]));
-            let out = self.mlp.forward(g, bind, &self.store, x);
+            let out = self.forward(g, x);
             let scalar = g.sum(out);
             g.backward(scalar);
             g.grad(x)
@@ -330,9 +730,284 @@ impl MlpPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Metric;
+    use crate::{Metric, WeightPrecision};
     use lightnas_hw::Xavier;
     use lightnas_space::SearchSpace;
+
+    /// The fit as it ran on the autograd tape, kept verbatim: the oracle
+    /// the two-phase loop must match bit for bit.
+    fn tape_fit(
+        store: &mut ParamStore,
+        mlp: &Mlp,
+        train: &MetricDataset,
+        config: &TrainConfig,
+        mean: f64,
+        std: f64,
+    ) {
+        let n = train.len();
+        let mut opt = Adam::new(config.lr, 1e-5);
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
+        let mut order: Vec<usize> = (0..n).collect();
+        // One tape and one input-batch buffer for the whole run: `reset` keeps
+        // the tape's node and pooled buffer capacity, and the batch is refilled
+        // in place (the tape copies it into pooled storage), so a steady-state
+        // step allocates no tensor storage. It still allocates the target
+        // vector (one `f32` per row) and a small shape vector for each tensor
+        // it creates: the batch and target wrappers and every node value and
+        // gradient on the tape.
+        let mut g = Graph::new();
+        let mut bind = Bindings::new();
+        let mut x = Vec::with_capacity(config.batch_size.min(n) * INPUT_WIDTH);
+        for _ in 0..config.epochs {
+            // Fisher-Yates shuffle per epoch.
+            for i in (1..n).rev() {
+                let j = rng.random_range(0..=i);
+                order.swap(i, j);
+            }
+            for chunk in order.chunks(config.batch_size) {
+                let b = chunk.len();
+                x.clear();
+                let mut y = Vec::with_capacity(b);
+                for &i in chunk {
+                    x.extend_from_slice(&train.encodings()[i]);
+                    y.push(((train.targets()[i] - mean) / std) as f32);
+                }
+                g.reset();
+                bind.clear();
+                let batch = Tensor::from_vec(std::mem::take(&mut x), &[b, INPUT_WIDTH]);
+                let xv = g.input_ref(&batch);
+                x = batch.into_vec();
+                let pred = mlp.forward(&mut g, &mut bind, store, xv);
+                let loss = g.mse_loss(pred, Tensor::from_vec(y, &[b, 1]));
+                g.backward(loss);
+                opt.step(store, &g, &bind);
+            }
+        }
+    }
+
+    /// The three public entry points into the fit.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Train,
+        FineTune,
+        Incremental,
+    }
+
+    const ENTRIES: [Entry; 3] = [Entry::Train, Entry::FineTune, Entry::Incremental];
+
+    /// A small trained predictor to fine-tune from.
+    fn proxy() -> MlpPredictor {
+        let space = SearchSpace::standard();
+        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, 160, 2);
+        let config = TrainConfig {
+            epochs: 3,
+            batch_size: 64,
+            lr: 2e-3,
+            seed: 1,
+        };
+        MlpPredictor::train(&data, &config)
+    }
+
+    /// `entry`'s checkpoint bytes with `run` as its loop, from the starting
+    /// point the public method builds.
+    fn fitted(
+        entry: Entry,
+        proxy: &MlpPredictor,
+        data: &MetricDataset,
+        config: &TrainConfig,
+        run: impl FnOnce(&mut ParamStore, &Mlp, &MetricDataset, &TrainConfig, f64, f64),
+    ) -> Vec<u8> {
+        let mut p = match entry {
+            Entry::Train => {
+                let mut store = ParamStore::new();
+                let mlp = Mlp::new(
+                    &mut store,
+                    "predictor",
+                    &[INPUT_WIDTH, 128, 64, 1],
+                    config.seed,
+                );
+                MlpPredictor {
+                    store,
+                    mlp,
+                    mean: data.target_mean(),
+                    std: data.target_std().max(1e-6),
+                }
+            }
+            Entry::FineTune => MlpPredictor {
+                mean: data.target_mean(),
+                std: data.target_std().max(1e-6),
+                ..proxy.clone()
+            },
+            Entry::Incremental => proxy.clone(),
+        };
+        run(&mut p.store, &p.mlp, data, config, p.mean, p.std);
+        p.to_bytes(WeightPrecision::F32)
+    }
+
+    fn public(
+        entry: Entry,
+        proxy: &MlpPredictor,
+        data: &MetricDataset,
+        config: &TrainConfig,
+    ) -> MlpPredictor {
+        match entry {
+            Entry::Train => MlpPredictor::train(data, config),
+            Entry::FineTune => proxy.fine_tune(data, config),
+            Entry::Incremental => proxy.fine_tune_incremental(data, config),
+        }
+    }
+
+    /// Asserts that every entry point lands on the tape loop's checkpoint
+    /// bytes, through its public method and at 1, 2 and 3 participants.
+    fn assert_fit_matches_tape(rows: usize, batch_size: usize, epochs: usize) {
+        let space = SearchSpace::standard();
+        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, rows, 11);
+        let config = TrainConfig {
+            epochs,
+            batch_size,
+            lr: 2e-3,
+            seed: 7,
+        };
+        let proxy = proxy();
+        for entry in ENTRIES {
+            let reference = fitted(entry, &proxy, &data, &config, tape_fit);
+            let case = format!("{entry:?}, {rows} rows, batch {batch_size}");
+            let got = public(entry, &proxy, &data, &config).to_bytes(WeightPrecision::F32);
+            assert!(got == reference, "{case}: the public fit moved the bytes");
+            for participants in 1..=3 {
+                let got = fitted(entry, &proxy, &data, &config, |s, m, d, c, mean, std| {
+                    fit_on(s, m, d, c, mean, std, participants)
+                });
+                assert!(
+                    got == reference,
+                    "{case}: {participants} participants moved the bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_tape_at_batch_256_with_a_short_last_batch() {
+        assert_fit_matches_tape(600, 256, 2);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_at_batch_128() {
+        assert_fit_matches_tape(600, 128, 2);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_on_either_side_of_the_split_cutoff() {
+        assert_fit_matches_tape(300, 74, 2);
+        assert_fit_matches_tape(300, 75, 2);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_at_batch_32() {
+        assert_fit_matches_tape(300, 32, 2);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_at_batch_1() {
+        assert_fit_matches_tape(41, 1, 1);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_with_a_batch_larger_than_the_data() {
+        assert_fit_matches_tape(97, 512, 4);
+    }
+
+    #[test]
+    fn fit_matches_the_tape_over_an_odd_row_count() {
+        // 151- and 150-row batches: the row blocks are uneven at 2 and 3
+        // participants.
+        assert_fit_matches_tape(301, 151, 2);
+    }
+
+    #[test]
+    fn fit_splits_from_75_rows_on_the_paper_mlp() {
+        let mut store = ParamStore::new();
+        let mlp = Mlp::new(&mut store, "predictor", &[INPUT_WIDTH, 128, 64, 1], 0);
+        let machine = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(3);
+        assert_eq!(participants(&mlp, 8000, 74), 1);
+        assert_eq!(participants(&mlp, 8000, 75), machine);
+        assert_eq!(participants(&mlp, 8000, 256), machine);
+        // A dataset smaller than the batch bounds the step.
+        assert_eq!(participants(&mlp, 74, 256), 1);
+    }
+
+    #[test]
+    fn fit_with_zero_epochs_returns_the_initial_weights() {
+        let space = SearchSpace::standard();
+        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, 200, 4);
+        let config = TrainConfig {
+            epochs: 0,
+            batch_size: 128,
+            lr: 2e-3,
+            seed: 3,
+        };
+        let proxy = proxy();
+        for entry in ENTRIES {
+            let initial = fitted(entry, &proxy, &data, &config, |_, _, _, _, _, _| {});
+            let got = public(entry, &proxy, &data, &config).to_bytes(WeightPrecision::F32);
+            assert!(got == initial, "{entry:?}: zero epochs moved a weight");
+        }
+        assert!(
+            proxy
+                .fine_tune_incremental(&data, &config)
+                .to_bytes(WeightPrecision::F32)
+                == proxy.to_bytes(WeightPrecision::F32)
+        );
+    }
+
+    /// Eight rows and a zero batch size.
+    fn zero_batch() -> (MetricDataset, TrainConfig) {
+        let space = SearchSpace::standard();
+        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, 8, 0);
+        let config = TrainConfig {
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        (data, config)
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig::batch_size must be at least 1")]
+    fn fit_rejects_a_zero_batch_size_in_train() {
+        let (data, config) = zero_batch();
+        let _ = MlpPredictor::train(&data, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig::batch_size must be at least 1")]
+    fn fit_rejects_a_zero_batch_size_in_fine_tune() {
+        let (data, config) = zero_batch();
+        let _ = proxy().fine_tune(&data, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig::batch_size must be at least 1")]
+    fn fit_rejects_a_zero_batch_size_in_fine_tune_incremental() {
+        let (data, config) = zero_batch();
+        let _ = proxy().fine_tune_incremental(&data, &config);
+    }
+
+    #[test]
+    fn gradient_query_keeps_no_weight_gradient_buffers() {
+        let p = proxy();
+        let arch = Architecture::random(&SearchSpace::standard(), 5);
+        let _ = p.gradient(&arch.encode());
+        // One copy of every weight and bias is on the tape; a gradient for
+        // each of them would double that.
+        let weight_bytes = p.store.num_scalars() * std::mem::size_of::<f32>();
+        let retained = scratch_pool_stats().retained_bytes;
+        assert!(
+            retained < 2 * weight_bytes,
+            "the query scratch retains {retained} B against {weight_bytes} B of weights"
+        );
+    }
 
     fn train_small() -> (MlpPredictor, MetricDataset, MetricDataset) {
         let space = SearchSpace::standard();

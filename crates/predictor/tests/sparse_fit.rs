@@ -1,11 +1,13 @@
 //! The predictor fit end to end over the zero-skipping GEMM.
 //!
-//! A one-hot input batch takes the strict zero-skipping kernel in autograd's
-//! `Matmul` forward (`x·W1`) and in its weight-gradient backward (`xᵀ·g`),
-//! while the ReLU hidden layers stay on the packed kernel. Training and
-//! querying must land on the same bytes with SIMD on and off and at 1 and 4
-//! kernel threads. This binary holds the one test that flips those
-//! process-wide switches, so nothing runs beside it.
+//! A one-hot input batch takes the strict zero-skipping kernel in the fit's
+//! forward product (`x·W1`, on each participant's rows) and in its first
+//! layer's weight gradient (`xᵀ·g`, over all rows), while the ReLU hidden
+//! layers stay on the packed kernel. Training and querying must land on the
+//! same bytes with SIMD on and off and at 1 and 4 kernel threads, the
+//! kernel threads running inside each of the fit's participants. This
+//! binary holds the one test that flips those process-wide switches, so
+//! nothing runs beside it.
 
 use lightnas_hw::Xavier;
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};

@@ -61,7 +61,10 @@ pub const THREADS_ENV: &str = "LIGHTNAS_KERNEL_THREADS";
 /// Sets the number of threads the kernels may use (clamped to at least 1).
 ///
 /// Output bits are identical for every thread count; the knob only trades
-/// wall-clock for cores. Small operations stay serial regardless.
+/// wall-clock for cores. Small operations stay serial regardless. The
+/// predictor fit sizes its own split from `available_parallelism`,
+/// separately from this knob, in the way a sweep's `SweepOptions::workers`
+/// is separate from it.
 pub fn set_num_threads(n: usize) {
     KERNEL_THREADS.store(n.max(1), Ordering::Relaxed);
 }
@@ -298,8 +301,10 @@ const JR: usize = 8;
 const JR_SIMD: usize = 16;
 /// Below this many multiply-adds the packed path loses to the axpy loop.
 const PACK_MIN_FLOPS: usize = 1 << 12;
-/// Below this many multiply-adds threading costs more than it saves.
-pub(crate) const PAR_MIN_FLOPS: usize = 1 << 21;
+/// Below this many multiply-adds threading costs more than it saves. The
+/// predictor fit gates its own two-phase split on a step's multiply-adds
+/// against the same figure.
+pub const PAR_MIN_FLOPS: usize = 1 << 21;
 /// A strict product whose left operand has at most one nonzero entry in
 /// this many takes the zero-skipping kernel instead of the packed one.
 /// A quarter sits below the AVX2 body's measured crossover (DESIGN.md §8).
