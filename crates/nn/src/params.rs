@@ -129,14 +129,9 @@ impl ParamStore {
 /// One `Bindings` value accompanies one forward pass. Binding the same
 /// parameter twice in a pass is allowed (weight sharing); its gradient is the
 /// sum over occurrences, which the optimizers handle by accumulating.
-///
-/// A [`frozen`](Bindings::frozen) record binds every parameter as a
-/// non-trainable leaf instead, so the same layer code serves queries that
-/// differentiate only with respect to their input.
 #[derive(Debug, Default)]
 pub struct Bindings {
     pairs: Vec<(ParamId, Var)>,
-    frozen: bool,
 }
 
 impl Bindings {
@@ -145,26 +140,11 @@ impl Bindings {
         Self::default()
     }
 
-    /// A record that binds parameters as constants: each copy enters the
-    /// graph through [`Graph::input_ref`] and nothing is recorded, so
-    /// backward computes no weight or bias gradient and
-    /// [`pairs`](Self::pairs) stays empty. Creating one allocates nothing.
-    pub fn frozen() -> Self {
-        Self {
-            pairs: Vec::new(),
-            frozen: true,
-        }
-    }
-
     /// Copies the parameter's current value into `g` as a trainable leaf and
-    /// records the association — or, in a [`frozen`](Self::frozen) record,
-    /// as a non-trainable leaf without recording it. The copy lands in the
-    /// graph's tape pool ([`Graph::parameter_ref`]), so step-loop rebinding
-    /// allocates nothing in steady state.
+    /// records the association. The copy lands in the graph's tape pool
+    /// ([`Graph::parameter_ref`]), so step-loop rebinding allocates nothing
+    /// in steady state.
     pub fn bind(&mut self, g: &mut Graph, store: &ParamStore, id: ParamId) -> Var {
-        if self.frozen {
-            return g.input_ref(store.get(id));
-        }
         let var = g.parameter_ref(store.get(id));
         self.pairs.push((id, var));
         var
@@ -279,22 +259,6 @@ mod tests {
         assert_eq!(grads.len(), 1);
         assert_eq!(grads[0].0, w);
         assert_eq!(grads[0].1.as_slice(), &[10.0, 100.0]);
-    }
-
-    #[test]
-    fn frozen_bindings_leave_parameters_without_gradients() {
-        let mut s = ParamStore::new();
-        let w = s.add("w", Tensor::from_vec(vec![2.0, 3.0], &[2]));
-        let mut g = Graph::new();
-        let mut b = Bindings::frozen();
-        let wv = b.bind(&mut g, &s, w);
-        let x = g.parameter(Tensor::from_vec(vec![10.0, 100.0], &[2]));
-        let y = g.mul(wv, x);
-        let loss = g.sum(y);
-        g.backward(loss);
-        assert!(b.pairs().is_empty());
-        assert!(g.grad_opt(wv).is_none());
-        assert_eq!(g.grad(x).as_slice(), &[2.0, 3.0]);
     }
 
     #[test]

@@ -37,8 +37,9 @@ use std::path::Path;
 
 use lightnas_nn::layers::Mlp;
 use lightnas_nn::ParamStore;
-use lightnas_tensor::{f16, Tensor};
+use lightnas_tensor::f16;
 
+use crate::mlp::INPUT_WIDTH;
 use crate::MlpPredictor;
 
 const MAGIC: [u8; 4] = *b"LNPC";
@@ -155,8 +156,10 @@ impl MlpPredictor {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError`] on truncation, a bad magic/version, or a
-    /// parameter set that does not describe the stored layer widths.
+    /// Returns [`CheckpointError`] on truncation, a bad magic/version,
+    /// layer widths that do not run from the 154-wide encoding to one
+    /// output, or a parameter set that does not give each of their
+    /// parameters exactly once at its shape.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != MAGIC {
@@ -182,57 +185,79 @@ impl MlpPredictor {
         for _ in 0..nwidths {
             widths.push(r.u32()? as usize);
         }
+        if widths[0] != INPUT_WIDTH || widths[nwidths - 1] != 1 || widths.contains(&0) {
+            return Err(err(format!(
+                "widths {widths:?} must run from {INPUT_WIDTH} to 1 with none zero"
+            )));
+        }
+        let nparams = r.u32()? as usize;
+        // The declared weights must fit in the bytes that remain, so a
+        // header cannot make `Mlp::new` allocate more than the file holds.
+        let value_bytes = match precision {
+            WeightPrecision::F32 => 4,
+            WeightPrecision::F16 => 2,
+        };
+        let declared = widths.windows(2).try_fold(0usize, |acc, w| {
+            let scalars = w[0].checked_mul(w[1])?.checked_add(w[1])?;
+            acc.checked_add(scalars.checked_mul(value_bytes)?)
+        });
+        if declared.is_none_or(|d| d > bytes.len() - r.pos) {
+            return Err(err(format!(
+                "widths {widths:?} declare more weights than the {} bytes left",
+                bytes.len() - r.pos
+            )));
+        }
         // Rebuild the module structure, then overwrite every initialized
-        // weight from the payload (the seed is irrelevant: all parameters
-        // must be present, which is checked below).
+        // weight from the payload (the seed is irrelevant: every parameter
+        // must appear exactly once, which is checked below).
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "predictor", &widths, 0);
-        let nparams = r.u32()? as usize;
         if nparams != store.len() {
             return Err(err(format!(
                 "checkpoint has {nparams} parameters, widths {widths:?} need {}",
                 store.len()
             )));
         }
+        let mut seen = vec![false; store.len()];
         for _ in 0..nparams {
             let name_len = r.u16()? as usize;
             let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| err("parameter name is not UTF-8"))?
-                .to_string();
+                .map_err(|_| err("parameter name is not UTF-8"))?;
+            let id = store
+                .id(name)
+                .ok_or_else(|| err(format!("unknown parameter {name:?} for widths {widths:?}")))?;
+            if std::mem::replace(&mut seen[id.index()], true) {
+                return Err(err(format!("parameter {name:?} appears twice")));
+            }
             let ndim = r.u8()? as usize;
             let mut dims = Vec::with_capacity(ndim);
             for _ in 0..ndim {
                 dims.push(r.u32()? as usize);
             }
-            let len: usize = dims.iter().product();
-            let data = match precision {
-                WeightPrecision::F32 => {
-                    let raw = r.take(len * 4)?;
-                    raw.chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                        .collect::<Vec<f32>>()
-                }
-                WeightPrecision::F16 => {
-                    let raw = r.take(len * 2)?;
-                    let half: Vec<u16> = raw
-                        .chunks_exact(2)
-                        .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    let mut wide = vec![0.0f32; len];
-                    f16::widen_slice(&half, &mut wide);
-                    wide
-                }
-            };
-            let id = store
-                .id(&name)
-                .ok_or_else(|| err(format!("unknown parameter {name:?} for widths {widths:?}")))?;
-            if store.get(id).shape().dims() != dims.as_slice() {
+            let value = store.get_mut(id);
+            if value.shape().dims() != dims.as_slice() {
                 return Err(err(format!(
                     "parameter {name:?} has shape {dims:?}, expected {:?}",
-                    store.get(id).shape().dims()
+                    value.shape().dims()
                 )));
             }
-            store.set(id, Tensor::from_vec(data, &dims));
+            let dst = value.as_mut_slice();
+            match precision {
+                WeightPrecision::F32 => {
+                    let raw = r.take(dst.len() * 4)?;
+                    for (d, c) in dst.iter_mut().zip(raw.chunks_exact(4)) {
+                        *d = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                    }
+                }
+                WeightPrecision::F16 => {
+                    let raw = r.take(dst.len() * 2)?;
+                    let half: Vec<u16> = raw
+                        .chunks_exact(2)
+                        .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                        .collect();
+                    f16::widen_slice(&half, dst);
+                }
+            }
         }
         if r.pos != bytes.len() {
             return Err(err("trailing bytes after the last parameter"));

@@ -1,18 +1,17 @@
 //! The MLP metric predictor (three FC layers: 128, 64, 1 — paper Sec. 3.2).
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Barrier;
 
 use lightnas_nn::layers::{Linear, Mlp};
 use lightnas_nn::optim::Adam;
-use lightnas_nn::{Bindings, ParamStore};
+use lightnas_nn::ParamStore;
 use lightnas_space::{Architecture, NUM_OPS, TOTAL_LAYERS};
 use lightnas_tensor::kernels::{
     adam_update, matmul_into, matmul_nt_into, matmul_tn_into, AdamUpdate, PAR_MIN_FLOPS,
 };
-use lightnas_tensor::{Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -20,35 +19,6 @@ use crate::MetricDataset;
 
 /// Input width of the predictor: the flattened `ᾱ` encoding.
 pub const INPUT_WIDTH: usize = TOTAL_LAYERS * NUM_OPS;
-
-thread_local! {
-    /// Scratch tape reused by the query paths (predict / gradient). They bind
-    /// the network [frozen](Bindings::frozen): weights and biases enter as
-    /// constants, so a gradient query's backward runs only the
-    /// input-gradient chain. [`Graph::reset`] keeps the node and pool storage
-    /// warm. The graph copies each query's encoding into its own pool and
-    /// drops the caller's buffer, so the pool holds one query's working set
-    /// however many queries the thread has run, and a query costs the same
-    /// on the first call and the millionth. Training never uses the tape
-    /// (see [`fit`]).
-    static SCRATCH: RefCell<Graph> = RefCell::new(Graph::new());
-}
-
-/// Runs `f` with the thread-local scratch graph, reset and ready to record.
-fn with_scratch<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let g = &mut *cell.borrow_mut();
-        g.reset();
-        f(g)
-    })
-}
-
-/// This thread's scratch tape pool, read after a reset so that every
-/// buffer the last query used is back in it.
-#[cfg(test)]
-fn scratch_pool_stats() -> lightnas_tensor::PoolStats {
-    with_scratch(|g| g.pool_stats())
-}
 
 /// Training hyper-parameters of the predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,6 +57,47 @@ pub struct MlpPredictor {
     pub(crate) mlp: Mlp,
     pub(crate) mean: f64,
     pub(crate) std: f64,
+}
+
+/// One layer's weight (`[fan_in, fan_out]`) and bias (`[fan_out]`), the
+/// fan-out being the bias's length: the layer code that the fit's phase 1
+/// and the queries share, all direct kernel calls.
+#[derive(Clone, Copy)]
+struct LayerView<'a> {
+    w: &'a [f32],
+    b: &'a [f32],
+}
+
+impl LayerView<'_> {
+    /// The layer over the `m` rows of its input `a`: `out = a·W + b`, then
+    /// `max(out, 0)` when `relu` (every layer but the last), so that `out`
+    /// is the next layer's input.
+    fn forward(self, a: &[f32], m: usize, out: &mut [f32], relu: bool) {
+        let fan_out = self.b.len();
+        matmul_into(a, self.w, m, self.w.len() / fan_out, fan_out, out);
+        for row in out.chunks_exact_mut(fan_out) {
+            for (v, &bias) in row.iter_mut().zip(self.b) {
+                *v += bias;
+                if relu {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+    }
+
+    /// The gradient below the layer over `m` rows: `d = g·Wᵀ` from the
+    /// output gradient `g`, masked by `a > 0` when the layer's input `a` is
+    /// a ReLU's output. `max(z, 0) > 0` exactly where `z > 0`, NaN
+    /// included, so that is the ReLU's own mask on its pre-activation `z`.
+    fn backward(self, g: &[f32], m: usize, d: &mut [f32], relu_out: Option<&[f32]>) {
+        let fan_out = self.b.len();
+        matmul_nt_into(g, self.w, m, fan_out, self.w.len() / fan_out, d);
+        if let Some(a) = relu_out {
+            for (gi, &av) in d.iter_mut().zip(a) {
+                *gi *= if av > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+    }
 }
 
 /// Runs the standard Adam/mini-batch loop over `train` against standardized
@@ -196,6 +207,15 @@ fn assert_batch_size(config: &TrainConfig) {
     );
 }
 
+/// Rejects an encoding that is not one `ᾱ` row.
+fn assert_width(encoding: &[f32]) {
+    assert_eq!(
+        encoding.len(),
+        INPUT_WIDTH,
+        "encoding must have {INPUT_WIDTH} values"
+    );
+}
+
 fn bias_of(lin: &Linear) -> lightnas_nn::ParamId {
     lin.bias().expect("every Mlp layer has a bias")
 }
@@ -225,9 +245,10 @@ struct FitLayer {
     w: Shared,
     b: Shared,
     /// The layer's input for every row of the batch, `[rows, fan_in]` (the
-    /// encodings for the first layer), and its output gradient
-    /// `∂loss/∂z`, `[rows, fan_out]`: each participant writes its own rows
-    /// in phase 1, the layer's owner reads all of them in phase 2.
+    /// encodings for the first layer, the ReLU output of the layer below
+    /// for the others), and its output gradient `∂loss/∂z`,
+    /// `[rows, fan_out]`: each participant writes its own rows in phase 1,
+    /// the layer's owner reads all of them in phase 2.
     input: Shared,
     grad: Shared,
 }
@@ -242,6 +263,21 @@ impl FitLayer {
             b: Shared::from_slice(store.get(bias_of(lin)).as_slice()),
             input: Shared::zeroed(rows * fan_in),
             grad: Shared::zeroed(rows * fan_out),
+        }
+    }
+
+    /// The layer's current weights.
+    ///
+    /// # Safety
+    ///
+    /// No thread may write the weights while the view lives.
+    unsafe fn view(&self) -> LayerView<'_> {
+        // SAFETY: the caller rules out writers.
+        unsafe {
+            LayerView {
+                w: self.w.read(0..self.fan_in * self.fan_out),
+                b: self.b.read(0..self.fan_out),
+            }
         }
     }
 }
@@ -286,11 +322,8 @@ impl Fit<'_> {
         let (config, layers) = (self.config, &self.layers);
         let n = self.train.len();
         let block = config.batch_size.min(n).div_ceil(self.participants);
-        // Pre-activations and targets of this participant's rows.
-        let mut z: Vec<Vec<f32>> = layers
-            .iter()
-            .map(|l| vec![0.0; block * l.fan_out])
-            .collect();
+        // Predictions and targets of this participant's rows.
+        let mut p = vec![0.0f32; block * layers[layers.len() - 1].fan_out];
         let mut y = vec![0.0f32; block];
         let mut owned: Vec<Owned> = (me..layers.len())
             .step_by(self.participants)
@@ -318,7 +351,7 @@ impl Fit<'_> {
             for chunk in order.chunks(config.batch_size) {
                 let per = chunk.len().div_ceil(self.participants);
                 let rows = (me * per).min(chunk.len())..((me + 1) * per).min(chunk.len());
-                self.rows_phase(chunk, rows, &mut z, &mut y);
+                self.rows_phase(chunk, rows, &mut p, &mut y);
                 turns.wait();
                 let h = adam.advance();
                 for own in &mut owned {
@@ -330,11 +363,12 @@ impl Fit<'_> {
     }
 
     /// Phase 1 over rows `rows` of the batch `chunk` (dataset indices): the
-    /// forward pass, `z = a·W + b` and `a' = max(z, 0)` on every layer but
-    /// the last; the MSE output gradient `(p − t)·2/b` over the whole
-    /// batch's `b` rows; then `d = g·Wᵀ` masked by `z > 0` down to the first
-    /// layer's output gradient. Nothing computes a gradient for the inputs.
-    fn rows_phase(&self, chunk: &[usize], rows: Range<usize>, z: &mut [Vec<f32>], y: &mut [f32]) {
+    /// forward pass, [`LayerView::forward`] on every layer into the next
+    /// layer's input rows and the last one's into `p`; the MSE output
+    /// gradient `(p − t)·2/b` over the whole batch's `b` rows; then
+    /// [`LayerView::backward`] down to the first layer's output gradient.
+    /// Nothing computes a gradient for the inputs.
+    fn rows_phase(&self, chunk: &[usize], rows: Range<usize>, p: &mut [f32], y: &mut [f32]) {
         let layers = &self.layers;
         let (m, last) = (rows.len(), layers.len() - 1);
         let picks = &chunk[rows.clone()];
@@ -349,55 +383,40 @@ impl Fit<'_> {
         for (t, &i) in y.iter_mut().zip(picks) {
             *t = ((self.train.targets()[i] - self.mean) / self.std) as f32;
         }
+        let p = &mut p[..m * layers[last].fan_out];
         for (l, layer) in layers.iter().enumerate() {
-            let (fan_in, fan_out) = (layer.fan_in, layer.fan_out);
-            let zl = &mut z[l][..m * fan_out];
             // SAFETY: phase 1 reads this participant's own rows, written
             // above on this thread, and the weights, which only phase 2
-            // writes.
-            let (a, w, b) = unsafe {
-                (
-                    layer.input.read(span(&rows, fan_in)),
-                    layer.w.read(0..fan_in * fan_out),
-                    layer.b.read(0..fan_out),
-                )
-            };
-            matmul_into(a, w, m, fan_in, fan_out, zl);
-            for row in zl.chunks_exact_mut(fan_out) {
-                for (v, &bias) in row.iter_mut().zip(b) {
-                    *v += bias;
-                }
-            }
-            if let Some(next) = layers.get(l + 1) {
-                // SAFETY: phase 1 writes only this participant's rows.
-                let out = unsafe { next.input.write(span(&rows, fan_out)) };
-                for (o, &v) in out.iter_mut().zip(zl.iter()) {
-                    *o = v.max(0.0);
-                }
+            // writes; it writes only its own rows of the next layer's input.
+            unsafe {
+                let out = match layers.get(l + 1) {
+                    Some(next) => next.input.write(span(&rows, layer.fan_out)),
+                    None => &mut *p,
+                };
+                let a = layer.input.read(span(&rows, layer.fan_in));
+                layer.view().forward(a, m, out, l < last);
             }
         }
         // The tape seeds the loss with 1, so its MSE scale is 2·1/b.
         let s = 2.0 / chunk.len() as f32;
         // SAFETY: phase 1 writes only this participant's rows.
         let g = unsafe { layers[last].grad.write(span(&rows, layers[last].fan_out)) };
-        for ((gi, &p), &t) in g.iter_mut().zip(&z[last]).zip(y.iter()) {
-            *gi = (p - t) * s;
+        for ((gi, &pv), &t) in g.iter_mut().zip(p.iter()).zip(y.iter()) {
+            *gi = (pv - t) * s;
         }
         for l in (1..layers.len()).rev() {
             let (layer, below) = (&layers[l], &layers[l - 1]);
             // SAFETY: phase 1 reads this participant's own rows and the
             // weights, and writes only its own rows of the layer below.
-            let (g, w, d) = unsafe {
+            let (view, g, a, d) = unsafe {
                 (
+                    layer.view(),
                     layer.grad.read(span(&rows, layer.fan_out)),
-                    layer.w.read(0..layer.fan_in * layer.fan_out),
+                    layer.input.read(span(&rows, layer.fan_in)),
                     below.grad.write(span(&rows, below.fan_out)),
                 )
             };
-            matmul_nt_into(g, w, m, layer.fan_out, layer.fan_in, d);
-            for (gi, &zv) in d.iter_mut().zip(&z[l - 1]) {
-                *gi *= if zv > 0.0 { 1.0 } else { 0.0 };
-            }
+            view.backward(g, m, d, Some(a));
         }
     }
 
@@ -610,10 +629,34 @@ impl MlpPredictor {
         }
     }
 
-    /// Records the frozen network on `g`: weights and biases enter as
-    /// constants ([`Bindings::frozen`]), so backward reaches only `x`.
-    fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        self.mlp.forward(g, &mut Bindings::frozen(), &self.store, x)
+    /// Layer `lin`'s weights, read in place from the store.
+    fn view(&self, lin: &Linear) -> LayerView<'_> {
+        LayerView {
+            w: self.store.get(lin.weight()).as_slice(),
+            b: self.store.get(bias_of(lin)).as_slice(),
+        }
+    }
+
+    /// Every layer's output over the `m` rows of `x`, `[m, fan_out]` each:
+    /// the ReLU activations, then the standardized predictions.
+    fn activations(&self, x: &[f32], m: usize) -> Vec<Vec<f32>> {
+        let layers = self.mlp.layers();
+        let mut outs: Vec<Vec<f32>> = Vec::with_capacity(layers.len());
+        for (l, lin) in layers.iter().enumerate() {
+            let mut out = vec![0.0; m * lin.out_features()];
+            let a = outs.last().map_or(x, Vec::as_slice);
+            self.view(lin).forward(a, m, &mut out, l + 1 < layers.len());
+            outs.push(out);
+        }
+        outs
+    }
+
+    /// Predictions for the `m` rows of `x`, in the metric's unit.
+    fn predict_rows(&self, x: &[f32], m: usize) -> Vec<f64> {
+        let out = self.activations(x, m).pop().unwrap_or_default();
+        out.iter()
+            .map(|&v| v as f64 * self.std + self.mean)
+            .collect()
     }
 
     /// Predicts the metric for a flattened encoding.
@@ -622,16 +665,8 @@ impl MlpPredictor {
     ///
     /// Panics if `encoding.len() != 154`.
     pub fn predict_encoding(&self, encoding: &[f32]) -> f64 {
-        assert_eq!(
-            encoding.len(),
-            INPUT_WIDTH,
-            "encoding must have {INPUT_WIDTH} values"
-        );
-        with_scratch(|g| {
-            let x = g.input(Tensor::from_vec(encoding.to_vec(), &[1, INPUT_WIDTH]));
-            let out = self.forward(g, x);
-            g.value(out).as_slice()[0] as f64 * self.std + self.mean
-        })
+        assert_width(encoding);
+        self.predict_rows(encoding, 1)[0]
     }
 
     /// Predicts the metric for an architecture.
@@ -650,32 +685,18 @@ impl MlpPredictor {
     ///
     /// Panics if any encoding's length differs from 154.
     pub fn predict_batch(&self, encodings: &[Vec<f32>]) -> Vec<f64> {
-        if encodings.is_empty() {
-            return Vec::new();
-        }
-        let b = encodings.len();
-        let mut x = Vec::with_capacity(b * INPUT_WIDTH);
+        let mut x = Vec::with_capacity(encodings.len() * INPUT_WIDTH);
         for enc in encodings {
-            assert_eq!(
-                enc.len(),
-                INPUT_WIDTH,
-                "encoding must have {INPUT_WIDTH} values"
-            );
+            assert_width(enc);
             x.extend_from_slice(enc);
         }
-        with_scratch(|g| {
-            let xv = g.input(Tensor::from_vec(x, &[b, INPUT_WIDTH]));
-            let out = self.forward(g, xv);
-            g.value(out)
-                .as_slice()
-                .iter()
-                .map(|&v| v as f64 * self.std + self.mean)
-                .collect()
-        })
+        self.predict_rows(&x, encodings.len())
     }
 
     /// Gradient of the prediction w.r.t. the encoding — the `∂LAT/∂ᾱ` term
-    /// of Eq. 12, obtained "through a one-time backward propagation".
+    /// of Eq. 12, obtained "through a one-time backward propagation": the
+    /// fit's input-gradient chain from a seed of 1, run one layer further
+    /// down, to the input.
     ///
     /// Returned in the metric's original unit per unit encoding change.
     ///
@@ -683,24 +704,16 @@ impl MlpPredictor {
     ///
     /// Panics if `encoding.len() != 154`.
     pub fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            encoding.len(),
-            INPUT_WIDTH,
-            "encoding must have {INPUT_WIDTH} values"
-        );
-        with_scratch(|g| {
-            // The input is registered as a parameter so backward reaches it;
-            // the frozen weights receive no gradient.
-            let x = g.parameter(Tensor::from_vec(encoding.to_vec(), &[1, INPUT_WIDTH]));
-            let out = self.forward(g, x);
-            let scalar = g.sum(out);
-            g.backward(scalar);
-            g.grad(x)
-                .as_slice()
-                .iter()
-                .map(|&v| v * self.std as f32)
-                .collect()
-        })
+        assert_width(encoding);
+        let outs = self.activations(encoding, 1);
+        let mut g = vec![1.0f32; outs.last().map_or(0, Vec::len)];
+        for (l, lin) in self.mlp.layers().iter().enumerate().rev() {
+            let mut d = vec![0.0; lin.in_features()];
+            let below = l.checked_sub(1).map(|k| outs[k].as_slice());
+            self.view(lin).backward(&g, 1, &mut d, below);
+            g = d;
+        }
+        g.into_iter().map(|v| v * self.std as f32).collect()
     }
 
     /// Root-mean-square error over a dataset, in the metric's unit.
@@ -732,7 +745,9 @@ mod tests {
     use super::*;
     use crate::{Metric, WeightPrecision};
     use lightnas_hw::Xavier;
+    use lightnas_nn::Bindings;
     use lightnas_space::SearchSpace;
+    use lightnas_tensor::{kernels, Graph, Tensor};
 
     /// The fit as it ran on the autograd tape, kept verbatim: the oracle
     /// the two-phase loop must match bit for bit.
@@ -994,21 +1009,6 @@ mod tests {
         let _ = proxy().fine_tune_incremental(&data, &config);
     }
 
-    #[test]
-    fn gradient_query_keeps_no_weight_gradient_buffers() {
-        let p = proxy();
-        let arch = Architecture::random(&SearchSpace::standard(), 5);
-        let _ = p.gradient(&arch.encode());
-        // One copy of every weight and bias is on the tape; a gradient for
-        // each of them would double that.
-        let weight_bytes = p.store.num_scalars() * std::mem::size_of::<f32>();
-        let retained = scratch_pool_stats().retained_bytes;
-        assert!(
-            retained < 2 * weight_bytes,
-            "the query scratch retains {retained} B against {weight_bytes} B of weights"
-        );
-    }
-
     fn train_small() -> (MlpPredictor, MetricDataset, MetricDataset) {
         let space = SearchSpace::standard();
         let device = Xavier::maxn();
@@ -1194,18 +1194,91 @@ mod tests {
         let _ = p.predict_encoding(&[0.0; 10]);
     }
 
+    /// `predict_batch` as it ran on the autograd tape, kept as the oracle
+    /// the direct queries must match bit for bit.
+    fn tape_predict(p: &MlpPredictor, encodings: &[Vec<f32>]) -> Vec<f64> {
+        let mut g = Graph::new();
+        let x = Tensor::from_vec(encodings.concat(), &[encodings.len(), INPUT_WIDTH]);
+        let xv = g.input(x);
+        let out = p.mlp.forward(&mut g, &mut Bindings::new(), &p.store, xv);
+        g.value(out)
+            .as_slice()
+            .iter()
+            .map(|&v| v as f64 * p.std + p.mean)
+            .collect()
+    }
+
+    /// `gradient` as it ran on the autograd tape: the second oracle.
+    fn tape_gradient(p: &MlpPredictor, encoding: &[f32]) -> Vec<f32> {
+        let mut g = Graph::new();
+        let x = g.parameter(Tensor::from_vec(encoding.to_vec(), &[1, INPUT_WIDTH]));
+        let out = p.mlp.forward(&mut g, &mut Bindings::new(), &p.store, x);
+        let scalar = g.sum(out);
+        g.backward(scalar);
+        g.grad(x)
+            .as_slice()
+            .iter()
+            .map(|&v| v * p.std as f32)
+            .collect()
+    }
+
+    fn f64_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn f32_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn scratch_pool_occupancy_is_fixed_across_queries() {
+    fn queries_match_the_tape() {
+        let p = proxy();
         let space = SearchSpace::standard();
-        let data = MetricDataset::sample(&Xavier::maxn(), &space, Metric::LatencyMs, 64, 3);
-        let config = TrainConfig {
-            epochs: 1,
-            batch_size: 32,
-            lr: 1e-3,
-            seed: 0,
-        };
-        let p = MlpPredictor::train(&data, &config);
-        let encodings = data.encodings();
+        // 2,000 one-hot architectures, then 1,000 fractional encodings that
+        // spread each slot over its operators, as the search's relaxed `ᾱ`
+        // does.
+        let mut encodings: Vec<Vec<f32>> = (0..2000)
+            .map(|seed| Architecture::random(&space, seed).encode())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..1000 {
+            let mut enc: Vec<f32> = (0..INPUT_WIDTH).map(|_| rng.random::<f32>()).collect();
+            for slot in enc.chunks_exact_mut(NUM_OPS) {
+                let sum: f32 = slot.iter().sum();
+                slot.iter_mut().for_each(|v| *v /= sum);
+            }
+            encodings.push(enc);
+        }
+        for (i, enc) in encodings.iter().enumerate() {
+            assert_eq!(
+                p.predict_encoding(enc).to_bits(),
+                tape_predict(&p, std::slice::from_ref(enc))[0].to_bits(),
+                "encoding {i}: predict_encoding left the tape's bits"
+            );
+            assert_eq!(
+                f32_bits(&p.gradient(enc)),
+                f32_bits(&tape_gradient(&p, enc)),
+                "encoding {i}: gradient left the tape's bits"
+            );
+        }
+        for rows in [1, 2, 3, 4, 5, 8, 31, 32, 256, 1000] {
+            for batch in encodings.chunks(rows) {
+                assert_eq!(
+                    f64_bits(&p.predict_batch(batch)),
+                    f64_bits(&tape_predict(&p, batch)),
+                    "a {}-row predict_batch left the tape's bits",
+                    batch.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn queries_leave_the_kernel_pool_unchanged() {
+        let p = proxy();
+        let encodings: Vec<Vec<f32>> = (0..64)
+            .map(|seed| Architecture::random(&SearchSpace::standard(), seed).encode())
+            .collect();
         let query = |i: usize| {
             let enc = &encodings[i % encodings.len()];
             match i % 3 {
@@ -1221,20 +1294,20 @@ mod tests {
             }
         };
         let occupancy = || {
-            let s = scratch_pool_stats();
+            let s = kernels::with_pool(|pool| pool.stats());
             (s.buffers, s.retained_bytes)
         };
         for i in 0..3 {
             query(i);
         }
         let warm = occupancy();
-        for i in 3..10_000 {
+        for i in 3..10_003 {
             query(i);
             if i % 1000 == 0 {
-                assert_eq!(occupancy(), warm, "call {i}: scratch pool occupancy moved");
+                assert_eq!(occupancy(), warm, "call {i}: the kernel pool moved");
             }
         }
-        assert_eq!(occupancy(), warm, "scratch pool occupancy moved");
+        assert_eq!(occupancy(), warm, "the kernel pool moved");
     }
 
     #[test]

@@ -74,6 +74,8 @@ impl AdmissionPolicy {
 struct Inner<T> {
     queue: VecDeque<T>,
     draining: bool,
+    /// Consumers parked in [`AdmissionQueue::wait_batch`].
+    waiting: usize,
 }
 
 /// The bounded FIFO behind the service, safe for many producers and many
@@ -94,6 +96,7 @@ impl<T> AdmissionQueue<T> {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 draining: false,
+                waiting: 0,
             }),
             wakeup: Condvar::new(),
         }
@@ -111,6 +114,11 @@ impl<T> AdmissionQueue<T> {
     /// Admits one item built by `make`, called **under the queue lock** so
     /// whatever it captures (e.g. a request id counter) is ordered exactly
     /// like the queue itself. Returns the depth after insertion.
+    ///
+    /// Wakes a consumer only if one is parked in
+    /// [`wait_batch`](Self::wait_batch): a consumer that is not parked
+    /// checks the queue under the lock before it parks, so it cannot miss
+    /// the item, and a wake with nobody waiting still costs a system call.
     ///
     /// # Errors
     ///
@@ -133,8 +141,11 @@ impl<T> AdmissionQueue<T> {
         let item = make();
         inner.queue.push_back(item);
         let depth = inner.queue.len();
+        let parked = inner.waiting > 0;
         drop(inner);
-        self.wakeup.notify_one();
+        if parked {
+            self.wakeup.notify_one();
+        }
         Ok(depth)
     }
 
@@ -175,11 +186,19 @@ impl<T> AdmissionQueue<T> {
             if inner.draining {
                 return None;
             }
+            inner.waiting += 1;
             inner = self
                 .wakeup
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.waiting -= 1;
         }
+    }
+
+    /// Consumers parked in [`wait_batch`](Self::wait_batch) right now.
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.lock().waiting
     }
 }
 
@@ -241,5 +260,38 @@ mod tests {
             });
             assert_eq!(consumer.join().expect("no panic"), Some(vec![41]));
         });
+    }
+
+    #[test]
+    fn admission_wakes_a_parked_consumer() {
+        use std::sync::{mpsc, Arc};
+        use std::time::{Duration, Instant};
+
+        let q = Arc::new(AdmissionQueue::new(AdmissionPolicy::default()));
+        let (tx, rx) = mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || tx.send(q.wait_batch(4)))
+        };
+        let start = Instant::now();
+        while q.waiters() == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the consumer never parked"
+            );
+            std::thread::yield_now();
+        }
+        q.admit_with(Priority::Normal, || 41).expect("admitted");
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        // A lost wake-up leaves the consumer parked: the drain releases it
+        // so the test fails on the timeout instead of hanging.
+        q.drain();
+        assert_eq!(
+            got,
+            Ok(Some(vec![41])),
+            "the admit did not wake the consumer"
+        );
+        let sent = consumer.join().expect("the consumer does not panic");
+        sent.expect("the receiver outlives the consumer");
     }
 }

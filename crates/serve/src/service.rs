@@ -340,10 +340,10 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
         }
     }
 
-    /// Resolves one row given its batch-pass result (`None` = the batch
-    /// panicked before producing values): scalar retries against the
-    /// primary up to the budget, then a counted degradation.
-    fn resolve_row(&self, ticket: &Ticket, first: Option<f64>, now: Duration) -> (f64, bool) {
+    /// Resolves one row of `encoding` given its batch-pass result (`None` =
+    /// the batch panicked before producing values): scalar retries against
+    /// the primary up to the budget, then a counted degradation.
+    fn resolve_row(&self, encoding: &[f32], first: Option<f64>, now: Duration) -> (f64, bool) {
         let mut cause = match first {
             Some(v) if v.is_finite() => {
                 self.breaker.record_success(now);
@@ -354,7 +354,7 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
         };
         for _ in 0..self.config.retry_budget {
             let retried = catch_unwind(AssertUnwindSafe(|| {
-                self.fb.primary().predict_encoding(&ticket.encoding)
+                self.fb.primary().predict_encoding(encoding)
             }));
             match retried {
                 Ok(v) if v.is_finite() => {
@@ -367,14 +367,15 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
         }
         self.breaker.record_failure(now);
         self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        (self.fb.degrade_encoding(&ticket.encoding, cause), true)
+        (self.fb.degrade_encoding(encoding, cause), true)
     }
 
     fn process_batch(&self, tickets: Vec<Ticket>) {
         let now = self.clock.now();
         let mut served = Vec::with_capacity(tickets.len());
         let mut live = Vec::with_capacity(tickets.len());
-        for t in tickets {
+        let mut encodings: Vec<Vec<f32>> = Vec::with_capacity(tickets.len());
+        for mut t in tickets {
             match t.deadline {
                 Some(d) if now > d => {
                     self.counters
@@ -393,7 +394,10 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
                         outcome: Err(ServeError::Deadline { deadline: d, now }),
                     });
                 }
-                _ => live.push(t),
+                _ => {
+                    encodings.push(std::mem::take(&mut t.encoding));
+                    live.push(t);
+                }
             }
         }
         if !live.is_empty() {
@@ -401,23 +405,21 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
             let primary_allowed = self.breaker.try_acquire(now);
             let mut degraded_rows = 0u64;
             let rows: Vec<(f64, bool)> = if primary_allowed {
-                let encodings: Vec<Vec<f32>> = live.iter().map(|t| t.encoding.clone()).collect();
                 let batch_pass = catch_unwind(AssertUnwindSafe(|| {
                     self.fb.primary().predict_encodings(&encodings)
                 }))
                 .ok();
-                live.iter()
+                encodings
+                    .iter()
                     .enumerate()
-                    .map(|(k, t)| self.resolve_row(t, batch_pass.as_ref().map(|vs| vs[k]), now))
+                    .map(|(k, e)| self.resolve_row(e, batch_pass.as_ref().map(|vs| vs[k]), now))
                     .collect()
             } else {
-                live.iter()
-                    .map(|t| {
+                encodings
+                    .iter()
+                    .map(|e| {
                         self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                        (
-                            self.fb.degrade_encoding(&t.encoding, DegradeCause::Routed),
-                            true,
-                        )
+                        (self.fb.degrade_encoding(e, DegradeCause::Routed), true)
                     })
                     .collect()
             };

@@ -969,24 +969,18 @@ impl Graph {
                     Delta::One(*a, ga)
                 }
                 Op::AddRowBias(a, b) => {
-                    // The column sums run only when the bias requires a
-                    // gradient: a frozen network's bias is an input leaf.
-                    if !nodes[b.0].requires_grad {
-                        Delta::Ref(*a)
-                    } else {
-                        let (m, n) = (g.shape().dim(0), g.shape().dim(1));
-                        let mut gb = pooled_zeros(pool, &[n]);
-                        {
-                            let gs = g.as_slice();
-                            let o = gb.as_mut_slice();
-                            for r in 0..m {
-                                for c in 0..n {
-                                    o[c] += gs[r * n + c];
-                                }
+                    let (m, n) = (g.shape().dim(0), g.shape().dim(1));
+                    let mut gb = pooled_zeros(pool, &[n]);
+                    {
+                        let gs = g.as_slice();
+                        let o = gb.as_mut_slice();
+                        for r in 0..m {
+                            for c in 0..n {
+                                o[c] += gs[r * n + c];
                             }
                         }
-                        Delta::RefPlusOwned(*a, *b, gb)
                     }
+                    Delta::RefPlusOwned(*a, *b, gb)
                 }
                 Op::AddChannelBias(a, b) => {
                     let (n, c, h, w) = (
@@ -1441,40 +1435,6 @@ mod tests {
             input_bits, param_bits,
             "skipping the lhs GEMM must not move the weight gradient"
         );
-    }
-
-    #[test]
-    fn add_row_bias_backward_skips_a_frozen_bias() {
-        let xs = Tensor::uniform(&[6, 4], -1.0, 1.0, 33);
-        let bs = Tensor::uniform(&[4], -1.0, 1.0, 34);
-        // Pool takes made by `backward`, and the input gradient's bits.
-        let run = |bias_is_parameter: bool| -> (u64, Vec<u32>) {
-            let mut g = Graph::new();
-            let x = g.parameter(xs.clone());
-            let b = if bias_is_parameter {
-                g.parameter(bs.clone())
-            } else {
-                g.input(bs.clone())
-            };
-            let y = g.add_row_bias(x, b);
-            let loss = g.sum(y);
-            let before = g.pool_stats();
-            g.backward(loss);
-            let after = g.pool_stats();
-            let takes = (after.hits + after.misses) - (before.hits + before.misses);
-            let bits = g.grad(x).as_slice().iter().map(|v| v.to_bits()).collect();
-            (takes, bits)
-        };
-        let (frozen_takes, frozen_bits) = run(false);
-        let (param_takes, param_bits) = run(true);
-        // The loss seed, the sum's broadcast and the input's copy of it; a
-        // trainable bias adds its column sums.
-        assert_eq!(frozen_takes, 3, "a frozen bias must cost no column sums");
-        assert_eq!(
-            param_takes, 4,
-            "a trainable bias costs one column-sum buffer"
-        );
-        assert_eq!(frozen_bits, param_bits, "the input gradient must not move");
     }
 
     #[test]

@@ -123,6 +123,10 @@ fn worker_loop(index: usize) {
                 st = p.work.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
+        // SAFETY: `job.ctx` and `job.data` stay live: the submitter waits
+        // for `remaining == 0`, and this group's decrement below comes after
+        // the call. Group `index + 1` belongs to this worker alone, so its
+        // chunks are disjoint from every other group's.
         let res = catch_unwind(AssertUnwindSafe(|| unsafe {
             (job.run)(job.ctx, &job, index + 1);
         }));
