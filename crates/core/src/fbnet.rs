@@ -93,7 +93,7 @@ impl<'a> FbnetSearch<'a> {
                 // Multi-path expectation: ∂L/∂P̂[l][k] is the loss marginal
                 // of candidate k at slot l (every path contributes).
                 let acc_marginals = self.oracle.loss_marginals(&context, progress);
-                let mut g = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
+                let mut g = [[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
                 for l in 0..SEARCHABLE_LAYERS {
                     for (k, slot) in g[l].iter_mut().enumerate() {
                         // Eq. 3: λ·LAT, unnormalized; the latency gradient

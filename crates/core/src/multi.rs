@@ -118,15 +118,10 @@ impl<'a> MultiConstraintSearch<'a> {
                     continue;
                 }
                 let (arch, relaxed, probs) = params.sample(tau, &mut rng);
-                let acc_marginals = self.oracle.loss_marginals(&arch, progress);
+                // ∂L_valid/∂P̄, then each budget's (λ_i/T_i)·∂M_i/∂P̄ on top.
+                let mut g = self.oracle.loss_marginals(&arch, progress);
                 let encoding = arch.encode();
                 let strongest = params.strongest();
-                let mut g = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
-                for l in 0..SEARCHABLE_LAYERS {
-                    for k in 0..NUM_OPS {
-                        g[l][k] = acc_marginals[l][k];
-                    }
-                }
                 for (i, b) in self.budgets.iter().enumerate() {
                     let metric_grad = b.predictor.gradient(&encoding);
                     for l in 0..SEARCHABLE_LAYERS {

@@ -85,7 +85,7 @@ impl<'a> ProxylessSearch<'a> {
                 // Two-path update: per slot, compare the sampled op against
                 // one alternative drawn from the current distribution; only
                 // those two coordinates receive gradient.
-                let mut g = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
+                let mut g = [[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
                 for l in 0..SEARCHABLE_LAYERS {
                     let a = context.ops()[l].index();
                     let mut b = rng.random_range(0..NUM_OPS);

@@ -331,7 +331,7 @@ impl<'a, P: Predictor> SearchStepper<'a, P> {
                 continue;
             }
             // Combine per Eq. 12: g = ∂L_valid/∂P̄ + (λ/T)·∂LAT/∂P̄.
-            let mut g = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
+            let mut g = [[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
             for l in 0..SEARCHABLE_LAYERS {
                 for k in 0..NUM_OPS {
                     // Row l+1 of the encoding: row 0 is the fixed block.

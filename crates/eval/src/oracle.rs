@@ -90,19 +90,20 @@ pub struct AccuracyOracle {
     weights: Vec<f64>,
 }
 
-/// Operator capacity: how much representational power it adds.
-fn capacity(op: Operator) -> f64 {
-    match op.index() {
-        0 => 1.00, // K3E3
-        1 => 1.35, // K3E6
-        2 => 1.18, // K5E3
-        3 => 1.50, // K5E6
-        4 => 1.28, // K7E3
-        5 => 1.60, // K7E6
-        6 => 0.0,  // Skip
-        _ => unreachable!("only seven operators"),
-    }
-}
+/// Operator capacity by operator index: how much representational power
+/// each candidate adds.
+const CAPACITY: [f64; NUM_OPS] = [
+    1.00, // K3E3
+    1.35, // K3E6
+    1.18, // K5E3
+    1.50, // K5E6
+    1.28, // K7E3
+    1.60, // K7E6
+    0.0,  // Skip
+];
+
+/// The skip operator's index, the one candidate that adds no depth.
+const SKIP: usize = NUM_OPS - 1;
 
 /// Deterministic pseudo-random task-fit factor in [-1, 1] for `(slot, op)`.
 fn fit(l: usize, k: usize) -> f64 {
@@ -174,8 +175,12 @@ impl AccuracyOracle {
     ///
     /// Panics if `slot` is out of range.
     pub fn utility(&self, slot: usize, op: Operator) -> f64 {
-        let cap = capacity(op);
-        self.weights[slot] * cap * (1.0 + self.config.fit_amplitude * fit(slot, op.index()))
+        self.utility_at(slot, op.index())
+    }
+
+    /// [`utility`](Self::utility) by operator index `k`.
+    fn utility_at(&self, slot: usize, k: usize) -> f64 {
+        self.weights[slot] * CAPACITY[k] * (1.0 + self.config.fit_amplitude * fit(slot, k))
     }
 
     /// The quality score `Q(arch)`.
@@ -297,19 +302,62 @@ impl AccuracyOracle {
     /// of `arch` with slot `l` swapped to operator `k`. This is the
     /// `∂L_valid/∂P̄` surface a weight-sharing supernet estimates through
     /// its backward pass (Eq. 12).
-    pub fn loss_marginals(&self, arch: &Architecture, progress: f64) -> Vec<[f64; NUM_OPS]> {
-        let mut out = Vec::with_capacity(SEARCHABLE_LAYERS);
-        let mut ops = arch.ops().to_vec();
-        for l in 0..ops.len() {
-            let original = ops[l];
-            let mut row = [0.0; NUM_OPS];
+    ///
+    /// Every entry has the bits of `valid_loss` on the swapped
+    /// architecture, without building it: the utility sum continues the
+    /// left fold [`quality`](Self::quality) takes from the swapped slot's
+    /// prefix and re-adds the suffix in order, and the swap moves the
+    /// skip-pair count and the depth only through slot `l`'s neighbours.
+    pub fn loss_marginals(
+        &self,
+        arch: &Architecture,
+        progress: f64,
+    ) -> [[f64; NUM_OPS]; SEARCHABLE_LAYERS] {
+        let c = &self.config;
+        let ops = arch.ops();
+        let skip: [bool; SEARCHABLE_LAYERS] = std::array::from_fn(|l| ops[l].is_skip());
+        let utilities: [f64; SEARCHABLE_LAYERS] =
+            std::array::from_fn(|l| self.utility_at(l, ops[l].index()));
+        // `prefix[l]` is the fold of `utilities[..l]`, the value `quality`'s
+        // sum holds just before it adds slot `l`.
+        let mut prefix = [0.0; SEARCHABLE_LAYERS];
+        for l in 1..SEARCHABLE_LAYERS {
+            prefix[l] = prefix[l - 1] + utilities[l - 1];
+        }
+        let pairs = skip.windows(2).filter(|w| w[0] && w[1]).count();
+        let depth = arch.depth();
+        let mut out = [[0.0; NUM_OPS]; SEARCHABLE_LAYERS];
+        for (l, row) in out.iter_mut().enumerate() {
+            let left = l > 0 && skip[l - 1];
+            let right = l + 1 < SEARCHABLE_LAYERS && skip[l + 1];
+            let neighbours = usize::from(left) + usize::from(right);
+            let (base_pairs, base_depth) = if skip[l] {
+                (pairs - neighbours, depth)
+            } else {
+                (pairs, depth - 1)
+            };
             for (k, slot) in row.iter_mut().enumerate() {
-                ops[l] = Operator::from_index(k);
-                let candidate = Architecture::new(ops.clone());
-                *slot = self.loss_from_quality(self.quality(&candidate), progress);
+                let (pairs, depth) = if k == SKIP {
+                    (base_pairs + neighbours, base_depth)
+                } else {
+                    (base_pairs, base_depth + 1)
+                };
+                // Same additions in the same order as the full sum; a
+                // re-associated `prefix + (u + suffix)` rounds differently.
+                let mut q = prefix[l] + self.utility_at(l, k);
+                for &u in &utilities[l + 1..] {
+                    q += u;
+                }
+                // One subtraction per pair, as the scan does; a single
+                // `penalty * pairs` rounds differently.
+                for _ in 0..pairs {
+                    q -= c.skip_pair_penalty;
+                }
+                if depth < c.min_depth {
+                    q -= c.shallow_penalty * (c.min_depth - depth) as f64;
+                }
+                *slot = self.loss_from_quality(q, progress);
             }
-            ops[l] = original;
-            out.push(row);
         }
         out
     }
@@ -464,11 +512,96 @@ mod tests {
         let o = oracle();
         let arch = Architecture::random(&SearchSpace::standard(), 3);
         let marginals = o.loss_marginals(&arch, 0.5);
-        assert_eq!(marginals.len(), SEARCHABLE_LAYERS);
-        // The entry at the architecture's own op equals its own loss.
+        // The entry at the architecture's own op is its own loss, bit for bit.
         for (l, &op) in arch.ops().iter().enumerate() {
             let own = marginals[l][op.index()];
-            assert!((own - o.valid_loss(&arch, 0.5)).abs() < 1e-9, "slot {l}");
+            assert_eq!(
+                own.to_bits(),
+                o.valid_loss(&arch, 0.5).to_bits(),
+                "slot {l}"
+            );
+        }
+    }
+
+    /// The full-evaluation rule `loss_marginals` replaced: build every
+    /// swapped architecture and score it from scratch. Kept as the oracle
+    /// the incremental marginals must match bit for bit.
+    fn swap_rule(o: &AccuracyOracle, arch: &Architecture, progress: f64) -> Vec<[f64; NUM_OPS]> {
+        let mut out = Vec::with_capacity(SEARCHABLE_LAYERS);
+        let mut ops = arch.ops().to_vec();
+        for l in 0..ops.len() {
+            let original = ops[l];
+            let mut row = [0.0; NUM_OPS];
+            for (k, slot) in row.iter_mut().enumerate() {
+                ops[l] = Operator::from_index(k);
+                *slot = o.valid_loss(&Architecture::new(ops.clone()), progress);
+            }
+            ops[l] = original;
+            out.push(row);
+        }
+        out
+    }
+
+    /// 4,015 architectures: random ones, skip-heavy ones below `min_depth`,
+    /// the homogeneous ones (all skip and each conv), and skip runs of every
+    /// length anchored at slot 0 and at slot 20 over random conv slots.
+    fn marginal_cases() -> Vec<Architecture> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let space = SearchSpace::standard();
+        let mut rng = StdRng::seed_from_u64(0x6d61_7267);
+        let conv = |rng: &mut StdRng| Operator::from_index(rng.random_range(0..SKIP));
+        let mut cases: Vec<Architecture> =
+            (0..2000).map(|s| Architecture::random(&space, s)).collect();
+        let min_depth = OracleConfig::imagenet().min_depth;
+        for _ in 0..1000 {
+            let mut ops = vec![Operator::SkipConnect; SEARCHABLE_LAYERS];
+            for _ in 0..rng.random_range(0..min_depth) {
+                ops[rng.random_range(0..SEARCHABLE_LAYERS)] = conv(&mut rng);
+            }
+            cases.push(Architecture::new(ops));
+        }
+        cases.extend(
+            Operator::ALL
+                .iter()
+                .map(|&op| Architecture::homogeneous(op)),
+        );
+        for _ in 0..24 {
+            for len in 1..=SEARCHABLE_LAYERS {
+                for start in [0, SEARCHABLE_LAYERS - len] {
+                    let mut ops: Vec<Operator> =
+                        (0..SEARCHABLE_LAYERS).map(|_| conv(&mut rng)).collect();
+                    ops[start..start + len].fill(Operator::SkipConnect);
+                    cases.push(Architecture::new(ops));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn loss_marginals_match_the_swap_rule() {
+        let o = oracle();
+        let cases = marginal_cases();
+        assert!(cases.len() >= 4000);
+        let min_depth = o.config().min_depth;
+        assert!(cases.iter().filter(|a| a.depth() < min_depth).count() >= 1000);
+        let progress = [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.9, 1.0];
+        for (i, arch) in cases.iter().enumerate() {
+            for &p in &progress {
+                let got = o.loss_marginals(arch, p);
+                let want = swap_rule(&o, arch, p);
+                for l in 0..SEARCHABLE_LAYERS {
+                    for k in 0..NUM_OPS {
+                        assert_eq!(
+                            got[l][k].to_bits(),
+                            want[l][k].to_bits(),
+                            "case {i} ({}) at progress {p}, slot {l}, op {k}",
+                            arch.to_spec()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -172,19 +172,64 @@ fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
     tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
-/// Parses `row` + `NUM_OPS` hex words into `rows[row]`.
-fn parse_row(rest: &[&str], rows: &mut [[f64; NUM_OPS]], what: &str) -> Result<(), String> {
-    if rest.len() != 1 + NUM_OPS {
-        return Err(format!("{what} row needs an index and {NUM_OPS} values"));
+/// Stores the value of the scalar record `key` read at `line`. A second
+/// record of the same key is corruption: the last one would otherwise win.
+fn set_once<T>(
+    slot: &mut Option<T>,
+    value: T,
+    key: &str,
+    line: usize,
+) -> Result<(), CheckpointError> {
+    match slot.replace(value) {
+        Some(_) => Err(CheckpointError::Malformed {
+            line,
+            reason: format!("duplicated {key} record"),
+        }),
+        None => Ok(()),
     }
-    let idx: usize = parse_int(rest[0], "row index")?;
-    if idx >= rows.len() {
-        return Err(format!("{what} row {idx} out of range"));
+}
+
+/// One table of `SEARCHABLE_LAYERS` rows (`alpha`, `adam_m`, `adam_v`) and
+/// which of its indices a record has filled.
+struct RowTable {
+    rows: Vec<[f64; NUM_OPS]>,
+    seen: [bool; SEARCHABLE_LAYERS],
+}
+
+impl RowTable {
+    fn new() -> Self {
+        Self {
+            rows: vec![[0.0; NUM_OPS]; SEARCHABLE_LAYERS],
+            seen: [false; SEARCHABLE_LAYERS],
+        }
     }
-    for (k, tok) in rest[1..].iter().enumerate() {
-        rows[idx][k] = parse_hex_f64(tok)?;
+
+    /// Parses `row` + `NUM_OPS` hex words into `rows[row]`, refusing an
+    /// index that an earlier record already filled.
+    fn parse(&mut self, rest: &[&str], what: &str) -> Result<(), String> {
+        if rest.len() != 1 + NUM_OPS {
+            return Err(format!("{what} row needs an index and {NUM_OPS} values"));
+        }
+        let idx: usize = parse_int(rest[0], "row index")?;
+        if idx >= SEARCHABLE_LAYERS {
+            return Err(format!("{what} row {idx} out of range"));
+        }
+        if std::mem::replace(&mut self.seen[idx], true) {
+            return Err(format!("duplicated {what} row {idx}"));
+        }
+        for (k, tok) in rest[1..].iter().enumerate() {
+            self.rows[idx][k] = parse_hex_f64(tok)?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// The rows, once every index has been filled.
+    fn finish(self, what: &str) -> Result<Vec<[f64; NUM_OPS]>, String> {
+        match self.seen.iter().position(|&seen| !seen) {
+            Some(idx) => Err(format!("{what} row {idx} is missing")),
+            None => Ok(self.rows),
+        }
+    }
 }
 
 impl Checkpoint {
@@ -287,13 +332,22 @@ impl Checkpoint {
 
     /// Parses the text form produced by [`render`](Self::render).
     ///
+    /// Every checkpoint it accepts can resume: its records are consistent
+    /// with each other, so
+    /// [`SearchStepper::from_state`](lightnas::SearchStepper::from_state)
+    /// takes its config, target and state without panicking.
+    ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::UnsupportedVersion`] for a foreign first
     /// line, [`CheckpointError::ChecksumMismatch`] when the body does not
     /// hash to the stamped checksum, or [`CheckpointError::Malformed`] for
-    /// missing/duplicated/unparsable records or a missing `checksum` /
-    /// `end` terminator.
+    /// missing, duplicated (a scalar record or a row index seen twice) or
+    /// unparsable records, a missing `checksum` / `end` terminator, or a
+    /// state the stepper cannot resume: a config that fails
+    /// [`SearchConfig::validate`], a target that is not positive, an
+    /// all-zero RNG state, an epoch past the schedule, or a trace that does
+    /// not hold one record per completed epoch.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
         let bad = |line: usize, reason: String| CheckpointError::Malformed { line, reason };
         let mut lines = text.lines().enumerate();
@@ -310,10 +364,9 @@ impl Checkpoint {
         let mut lambda = None;
         let mut rng = None;
         let mut adam_t = None;
-        let mut alpha = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
-        let mut adam_m = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
-        let mut adam_v = vec![[0.0f64; NUM_OPS]; SEARCHABLE_LAYERS];
-        let mut rows_seen = [0usize; 3];
+        let mut alpha = RowTable::new();
+        let mut adam_m = RowTable::new();
+        let mut adam_v = RowTable::new();
         let mut trace = SearchTrace::new();
         let mut terminated = false;
         let mut stamped = None;
@@ -335,13 +388,22 @@ impl Checkpoint {
                 }
             };
             match key {
-                "target" => target = Some(parse_hex_f64(&one(rest)?).map_err(|r| bad(ln, r))?),
-                "seed" => seed = Some(parse_int(&one(rest)?, "seed").map_err(|r| bad(ln, r))?),
+                "target" => {
+                    let value = parse_hex_f64(&one(rest)?).map_err(|r| bad(ln, r))?;
+                    if value.is_nan() || value <= 0.0 {
+                        return Err(bad(ln, format!("target {value} is not positive")));
+                    }
+                    set_once(&mut target, value, key, ln)?;
+                }
+                "seed" => {
+                    let value = parse_int(&one(rest)?, "seed").map_err(|r| bad(ln, r))?;
+                    set_once(&mut seed, value, key, ln)?;
+                }
                 "config" => {
                     if rest.len() != 8 {
                         return Err(bad(ln, "config needs 8 fields".into()));
                     }
-                    config = Some(SearchConfig {
+                    let value = SearchConfig {
                         epochs: parse_int(rest[0], "epochs").map_err(|r| bad(ln, r))?,
                         steps_per_epoch: parse_int(rest[1], "steps_per_epoch")
                             .map_err(|r| bad(ln, r))?,
@@ -352,14 +414,24 @@ impl Checkpoint {
                         lambda_lr: parse_hex_f64(rest[5]).map_err(|r| bad(ln, r))?,
                         tau_start: parse_hex_f64(rest[6]).map_err(|r| bad(ln, r))?,
                         tau_end: parse_hex_f64(rest[7]).map_err(|r| bad(ln, r))?,
-                    });
+                    };
+                    value
+                        .validate()
+                        .map_err(|e| bad(ln, format!("invalid config: {e}")))?;
+                    set_once(&mut config, value, key, ln)?;
                 }
-                "epoch" => epoch = Some(parse_int(&one(rest)?, "epoch").map_err(|r| bad(ln, r))?),
+                "epoch" => {
+                    let value = parse_int(&one(rest)?, "epoch").map_err(|r| bad(ln, r))?;
+                    set_once(&mut epoch, value, key, ln)?;
+                }
                 "global_step" => {
-                    global_step =
-                        Some(parse_int(&one(rest)?, "global_step").map_err(|r| bad(ln, r))?)
+                    let value = parse_int(&one(rest)?, "global_step").map_err(|r| bad(ln, r))?;
+                    set_once(&mut global_step, value, key, ln)?;
                 }
-                "lambda" => lambda = Some(parse_hex_f64(&one(rest)?).map_err(|r| bad(ln, r))?),
+                "lambda" => {
+                    let value = parse_hex_f64(&one(rest)?).map_err(|r| bad(ln, r))?;
+                    set_once(&mut lambda, value, key, ln)?;
+                }
                 "rng" => {
                     if rest.len() != 4 {
                         return Err(bad(ln, "rng needs 4 words".into()));
@@ -369,23 +441,18 @@ impl Checkpoint {
                         *w = parse_hex_u64(tok)
                             .map_err(|r| bad(ln, format!("bad rng word: {r}")))?;
                     }
-                    rng = Some(words);
+                    if words == [0; 4] {
+                        return Err(bad(ln, "rng state is all zero".into()));
+                    }
+                    set_once(&mut rng, words, key, ln)?;
                 }
                 "adam_t" => {
-                    adam_t = Some(parse_int(&one(rest)?, "adam_t").map_err(|r| bad(ln, r))?)
+                    let value = parse_int(&one(rest)?, "adam_t").map_err(|r| bad(ln, r))?;
+                    set_once(&mut adam_t, value, key, ln)?;
                 }
-                "alpha" => {
-                    parse_row(rest, &mut alpha, "alpha").map_err(|r| bad(ln, r))?;
-                    rows_seen[0] += 1;
-                }
-                "adam_m" => {
-                    parse_row(rest, &mut adam_m, "adam_m").map_err(|r| bad(ln, r))?;
-                    rows_seen[1] += 1;
-                }
-                "adam_v" => {
-                    parse_row(rest, &mut adam_v, "adam_v").map_err(|r| bad(ln, r))?;
-                    rows_seen[2] += 1;
-                }
+                "alpha" => alpha.parse(rest, key).map_err(|r| bad(ln, r))?,
+                "adam_m" => adam_m.parse(rest, key).map_err(|r| bad(ln, r))?,
+                "adam_v" => adam_v.parse(rest, key).map_err(|r| bad(ln, r))?,
                 "trace" => {
                     if rest.len() != 6 {
                         return Err(bad(ln, "trace needs 6 fields".into()));
@@ -401,9 +468,9 @@ impl Checkpoint {
                 }
                 "checksum" => {
                     let tok = one(rest)?;
-                    stamped = Some(
-                        parse_hex_u64(&tok).map_err(|r| bad(ln, format!("bad checksum: {r}")))?,
-                    );
+                    let value =
+                        parse_hex_u64(&tok).map_err(|r| bad(ln, format!("bad checksum: {r}")))?;
+                    set_once(&mut stamped, value, key, ln)?;
                 }
                 "end" => {
                     terminated = true;
@@ -425,21 +492,36 @@ impl Checkpoint {
             }
             Some(_) => {}
         }
-        for (name, &n) in ["alpha", "adam_m", "adam_v"].iter().zip(&rows_seen) {
-            if n != SEARCHABLE_LAYERS {
-                return Err(bad(
-                    0,
-                    format!("{name} has {n} rows, expected {SEARCHABLE_LAYERS}"),
-                ));
-            }
-        }
+        let table = |rows: RowTable, what: &str| rows.finish(what).map_err(|r| bad(0, r));
+        let (alpha, adam_m, adam_v) = (
+            table(alpha, "alpha")?,
+            table(adam_m, "adam_m")?,
+            table(adam_v, "adam_v")?,
+        );
         let missing = |what: &str| bad(0, format!("missing {what} record"));
+        let config = config.ok_or_else(|| missing("config"))?;
+        let epoch = epoch.ok_or_else(|| missing("epoch"))?;
+        if epoch > config.epochs {
+            return Err(bad(
+                0,
+                format!("epoch {epoch} is past the {}-epoch schedule", config.epochs),
+            ));
+        }
+        if trace.records().len() != epoch {
+            return Err(bad(
+                0,
+                format!(
+                    "{} trace records for {epoch} completed epochs",
+                    trace.records().len()
+                ),
+            ));
+        }
         Ok(Self {
             target: target.ok_or_else(|| missing("target"))?,
             seed: seed.ok_or_else(|| missing("seed"))?,
-            config: config.ok_or_else(|| missing("config"))?,
+            config,
             state: SearchState {
-                epoch: epoch.ok_or_else(|| missing("epoch"))?,
+                epoch,
                 global_step: global_step.ok_or_else(|| missing("global_step"))?,
                 alpha,
                 lambda: lambda.ok_or_else(|| missing("lambda"))?,
@@ -713,6 +795,201 @@ mod tests {
             .collect();
         let err = Checkpoint::parse(&stripped).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// `sample()`'s text with every line that starts with `prefix` replaced
+    /// by `with(line)` (which may hold several lines), restamped so the
+    /// record-level checks are what rejects it.
+    fn tampered(prefix: &str, with: impl Fn(&str) -> String) -> String {
+        let text: String = sample()
+            .render()
+            .lines()
+            .map(|l| {
+                let l = if l.starts_with(prefix) {
+                    with(l)
+                } else {
+                    l.to_string()
+                };
+                format!("{l}\n")
+            })
+            .collect();
+        restamp(&text)
+    }
+
+    /// Files whose records each parse but do not fit together: states
+    /// `SearchStepper::from_state` panics on, or that would resume from the
+    /// wrong numbers (a missing row read as zeros, the later of two
+    /// `target`s).
+    #[test]
+    fn inconsistent_checkpoints_are_malformed() {
+        let twice = |l: &str| format!("{l}\n{l}");
+        let cases = [
+            (
+                "epoch past the schedule",
+                tampered("epoch ", |_| "epoch 999".into()),
+            ),
+            (
+                "trace shorter than epoch",
+                tampered("epoch ", |_| "epoch 5".into()),
+            ),
+            (
+                "trace longer than epoch",
+                tampered("epoch ", |_| "epoch 1".into()),
+            ),
+            (
+                "alpha row 3 twice, row 4 missing",
+                tampered("alpha 4 ", |l| l.replacen("alpha 4 ", "alpha 3 ", 1)),
+            ),
+            ("duplicated target", tampered("target ", twice)),
+            ("duplicated lambda", tampered("lambda ", twice)),
+            ("duplicated adam_v row", tampered("adam_v 20 ", twice)),
+            (
+                "config fails validation",
+                tampered("config ", |l| l.replacen(" 3 ", " 30 ", 1)),
+            ),
+            (
+                "negative target",
+                tampered("target ", |_| format!("target {}", hex(-24.0))),
+            ),
+            (
+                "NaN target",
+                tampered("target ", |_| format!("target {}", hex(f64::NAN))),
+            ),
+            (
+                "all-zero rng",
+                tampered("rng ", |_| format!("rng{}", " 0000000000000000".repeat(4))),
+            ),
+        ];
+        for (what, text) in cases {
+            match Checkpoint::parse(&text) {
+                Err(CheckpointError::Malformed { reason, .. }) => {
+                    assert!(!reason.is_empty(), "{what}");
+                }
+                other => panic!("{what}: want Malformed, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            Checkpoint::parse(&tampered("epoch ", |l| l.to_string())).expect("untouched"),
+            sample()
+        );
+    }
+
+    /// Applies mutation `kind` (drawn with `a` and `b`) to `base`'s lines and
+    /// describes it: byte flips and rewrites, truncations, duplicated,
+    /// deleted and moved lines, and rewritten fields.
+    fn mutate(base: &str, kind: u32, a: u64, b: u32) -> (String, String) {
+        let mut lines: Vec<String> = base.lines().map(str::to_string).collect();
+        let pick = |n: usize, salt: u32| (a.rotate_left(salt) % n as u64) as usize;
+        let line = pick(lines.len(), 0);
+        let what = match kind {
+            0..=2 => {
+                let mut bytes = base.as_bytes().to_vec();
+                let at = pick(bytes.len(), 17);
+                let what = match kind {
+                    0 => {
+                        bytes[at] ^= 1 << (b % 8);
+                        format!("flip bit {} of byte {at}", b % 8)
+                    }
+                    1 => {
+                        bytes[at] = b as u8;
+                        format!("set byte {at} to {:#x}", b as u8)
+                    }
+                    _ => {
+                        bytes.truncate(at);
+                        format!("truncate to {at} bytes")
+                    }
+                };
+                let text = String::from_utf8_lossy(&bytes);
+                lines = text.lines().map(str::to_string).collect();
+                what
+            }
+            3 => {
+                let to = pick(lines.len() + 1, 29);
+                lines.insert(to, lines[line].clone());
+                format!("copy line {line} to {to}")
+            }
+            4 => {
+                lines.remove(line);
+                format!("delete line {line}")
+            }
+            5 => {
+                let moved = lines.remove(line);
+                let to = pick(lines.len() + 1, 29);
+                lines.insert(to, moved);
+                format!("move line {line} to {to}")
+            }
+            _ => {
+                let mut toks: Vec<String> = lines[line].split(' ').map(str::to_string).collect();
+                let field = 1 + pick(toks.len().max(2) - 1, 41);
+                let old = toks.get(field).cloned().unwrap_or_default();
+                let int = old.parse::<u64>().ok();
+                let value = match b % 12 {
+                    0 => "0".to_string(),
+                    1 => "1".to_string(),
+                    2 => "999".to_string(),
+                    3 => u64::MAX.to_string(),
+                    4 => "0000000000000000".to_string(),
+                    5 => hex(f64::NAN),
+                    6 => hex(-0.0),
+                    7 => hex(f64::NEG_INFINITY),
+                    8 => hex(-1.0),
+                    9 => int.map_or_else(|| "zz".into(), |v| v.wrapping_add(1).to_string()),
+                    10 => int.map_or_else(String::new, |v| v.wrapping_sub(1).to_string()),
+                    _ => format!("{:016x}", a ^ u64::from(b)),
+                };
+                if field < toks.len() {
+                    toks[field] = value.clone();
+                } else {
+                    toks.push(value.clone());
+                }
+                lines[line] = toks.join(" ");
+                format!("set field {field} of line {line} from {old:?} to {value:?}")
+            }
+        };
+        let mut text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        if !b.is_multiple_of(4) {
+            text = restamp(&text);
+        }
+        (text, what)
+    }
+
+    /// A predictor `from_state` only borrows.
+    struct Flat;
+
+    impl lightnas_predictor::Predictor for Flat {
+        fn predict_encoding(&self, _: &[f32]) -> f64 {
+            20.0
+        }
+
+        fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
+            vec![0.0; encoding.len()]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12_000))]
+
+        /// `parse` never panics on a mutated file (three in four restamped
+        /// past the checksum), and every file it accepts resumes: the
+        /// stepper takes its config, target and state without panicking.
+        #[test]
+        fn mutated_checkpoints_never_panic(kind in 0u32..8, a in 0u64..u64::MAX, b in 0u32..u32::MAX) {
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            static BASE: std::sync::OnceLock<(String, lightnas_eval::AccuracyOracle)> =
+                std::sync::OnceLock::new();
+            let (base, oracle) =
+                BASE.get_or_init(|| (sample().render(), lightnas_eval::AccuracyOracle::imagenet()));
+            let (text, what) = mutate(base, kind, a, b);
+            let parsed = catch_unwind(|| Checkpoint::parse(&text));
+            proptest::prop_assert!(parsed.is_ok(), "parse panicked: {what}");
+            if let Ok(Ok(ck)) = parsed {
+                let resumed = catch_unwind(AssertUnwindSafe(|| {
+                    lightnas::SearchStepper::from_state(oracle, &Flat, ck.config, ck.target, ck.state)
+                        .epoch()
+                }));
+                proptest::prop_assert!(resumed.is_ok(), "an accepted checkpoint panicked from_state: {what}");
+            }
+        }
     }
 
     #[test]

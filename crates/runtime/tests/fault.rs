@@ -385,6 +385,77 @@ fn corruption_matrix_yields_typed_errors_and_quarantine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint whose records each parse, stamped with a valid checksum,
+/// but whose state the stepper cannot resume — an epoch past the schedule,
+/// or a trace shorter than its epoch — is quarantined like any corrupt
+/// file: the job resumes from `.prev`, and its result equals an
+/// uninterrupted run. (Were the file accepted, every retry would re-read
+/// it and the job would fail.)
+#[test]
+fn unresumable_checkpoint_is_quarantined_and_the_job_resumes_from_prev() {
+    let f = fixture();
+    let job = SearchJob::new(21.0, 6, tiny_config());
+    let expected = fingerprints(&run_sweep(
+        &f.oracle,
+        &f.predictor,
+        &[job],
+        &SweepOptions::serial(),
+        None,
+    ));
+    type Tamper = fn(&mut Checkpoint);
+    let cases: [(&str, Tamper); 2] = [
+        ("unresumable-epoch", |ck| ck.state.epoch = 999),
+        ("unresumable-trace", |ck| {
+            let mut trace = lightnas::SearchTrace::new();
+            for r in &ck.state.trace.records()[..3] {
+                trace.push(*r);
+            }
+            ck.state.trace = trace;
+        }),
+    ];
+    for (name, tamper) in cases {
+        let dir = test_dir(name);
+        let opts = |epoch_budget| SweepOptions {
+            workers: 1,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 2,
+            epoch_budget,
+            retry_backoff: Duration::from_millis(1),
+            ..SweepOptions::default()
+        };
+        // Saves at epochs 2 and 4, then the budget's save at 5: `.prev`
+        // holds epoch 4.
+        let first = run_sweep(&f.oracle, &f.predictor, &[job], &opts(Some(5)), None);
+        assert!(!first.all_completed(), "{name}: budget must interrupt");
+        let path = dir.join("job000.ckpt");
+        let mut ck = Checkpoint::load(&path).expect("interrupted job's checkpoint");
+        assert_eq!(ck.state.epoch, 5);
+        tamper(&mut ck);
+        ck.save(&path).expect("tampered checkpoint");
+        assert!(
+            matches!(
+                Checkpoint::load(&path),
+                Err(CheckpointError::Malformed { .. })
+            ),
+            "{name}: a valid checksum must not carry an unresumable state"
+        );
+
+        let second = run_sweep(&f.oracle, &f.predictor, &[job], &opts(None), None);
+        assert!(second.all_completed(), "{name}: {:?}", second.statuses);
+        assert_eq!(fingerprints(&second), expected, "{name}");
+        assert_eq!(
+            second.statuses[0].completed().unwrap().resumed_from,
+            Some(4),
+            "{name}: must resume from `.prev`"
+        );
+        assert!(
+            dir.join("job000.ckpt.corrupt").exists(),
+            "{name}: the tampered file must be kept as evidence"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Retention is bounded — saves rotate within `keep` generations — and
 /// `prune` removes stale generations while **never** touching quarantined
 /// `*.corrupt` evidence.

@@ -433,13 +433,16 @@ fn cached_batch_path_coalesces_and_matches_scalar_queries() {
 // ---------------------------------------------------------------------------
 // Kernel-determinism goldens.
 //
-// The two fixtures under `tests/golden/` were generated by
+// `stepper.ckpt` and `micro.fnv` under `tests/golden/` were generated by
 // `regenerate_kernel_goldens` (below) against the *reference* compute
 // kernels, before the blocked/parallel rewrite of `lightnas-tensor`
 // landed. They pin the exact bits a search trajectory produces, so any
 // future kernel change that reorders floating-point accumulation — and
 // would therefore silently break bit-identical checkpoint resume — fails
-// here instead of in a weeks-old sweep.
+// here instead of in a weeks-old sweep. `engines.fnv` does the same for
+// the four engines that have no checkpoint form (DARTS, FBNet,
+// ProxylessNAS, multi-budget); it was written before the oracle's loss
+// marginals became incremental, so it also pins that rewrite.
 // ---------------------------------------------------------------------------
 
 fn golden_path(name: &str) -> PathBuf {
@@ -458,17 +461,20 @@ fn golden_stepper_checkpoint() -> lightnas_runtime::Checkpoint {
     lightnas_runtime::Checkpoint::new(22.0, 11, config, stepper.state())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64 hash.
+fn fold(h: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// FNV-1a 64 fingerprint of a real conv-kernel training trajectory: the
 /// micro supernet (im2col conv + depthwise conv + GEMM head, SGD) searched
 /// end-to-end on the shapes dataset.
 fn golden_micro_fingerprint() -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let fold = |h: u64, bytes: &[u8]| {
-        bytes
-            .iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-    };
     let out = lightnas::micro::bilevel_search(2, 8, 8, 0);
     let mut h = FNV_OFFSET;
     for row in &out.alpha {
@@ -484,6 +490,66 @@ fn golden_micro_fingerprint() -> String {
         h = fold(h, &v.to_bits().to_le_bytes());
     }
     format!("{h:016x}")
+}
+
+/// FNV-1a 64 of a search outcome: the architecture spec, the final λ's
+/// bits, then every trace record field's bits, then `extra` λs' bits.
+fn outcome_fingerprint(outcome: &lightnas::SearchOutcome, extra: &[f64]) -> u64 {
+    let mut h = fold(FNV_OFFSET, outcome.architecture.to_spec().as_bytes());
+    h = fold(h, &outcome.lambda.to_bits().to_le_bytes());
+    for r in outcome.trace.records() {
+        h = fold(h, &(r.epoch as u64).to_le_bytes());
+        for v in [
+            r.sampled_metric,
+            r.argmax_metric,
+            r.lambda,
+            r.tau,
+            r.valid_loss,
+        ] {
+            h = fold(h, &v.to_bits().to_le_bytes());
+        }
+    }
+    for v in extra {
+        h = fold(h, &v.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// One `engine fingerprint` line for each engine without a checkpoint form,
+/// each run on `tiny_config()`: DARTS, FBNet and ProxylessNAS against the
+/// device LUT, and the multi-budget engine with two budgets on the shared
+/// MLP predictor (its per-budget λs are folded in too).
+fn golden_engine_fingerprints() -> String {
+    use lightnas::multi::{Budget, MultiConstraintSearch};
+    use lightnas::{DartsSearch, FbnetSearch, ProxylessSearch};
+    let f = fixture();
+    let config = tiny_config();
+    let lut = lightnas_predictor::LutPredictor::build(&Xavier::maxn(), &f.space);
+    let darts = DartsSearch::new(&f.space, &f.oracle, config).search();
+    let fbnet = FbnetSearch::new(&f.space, &f.oracle, &lut, 0.05, config).search(5);
+    let proxyless = ProxylessSearch::new(&f.space, &f.oracle, &lut, 0.05, config).search(5);
+    let budget = |target, label| Budget {
+        predictor: &f.predictor,
+        target,
+        label,
+    };
+    let multi = MultiConstraintSearch::new(
+        &f.space,
+        &f.oracle,
+        vec![budget(22.0, "loose"), budget(19.0, "tight")],
+        config,
+    )
+    .search(5);
+    let lines = [
+        ("darts", outcome_fingerprint(&darts, &[])),
+        ("fbnet", outcome_fingerprint(&fbnet, &[])),
+        ("proxyless", outcome_fingerprint(&proxyless, &[])),
+        ("multi", outcome_fingerprint(&multi.outcome, &multi.lambdas)),
+    ];
+    lines
+        .iter()
+        .map(|(name, h)| format!("{name} {h:016x}\n"))
+        .collect()
 }
 
 #[test]
@@ -511,6 +577,17 @@ fn micro_supernet_training_matches_golden_fingerprint() {
 }
 
 #[test]
+fn engines_match_golden_fingerprints() {
+    let golden = std::fs::read_to_string(golden_path("engines.fnv"))
+        .expect("golden engine fingerprints (run `regenerate_kernel_goldens` if missing)");
+    assert_eq!(
+        golden_engine_fingerprints(),
+        golden,
+        "a search engine's outcome drifted from the golden fingerprint"
+    );
+}
+
+#[test]
 #[ignore = "rewrites the golden kernel fixtures; only run when a kernel-bit change is intended"]
 fn regenerate_kernel_goldens() {
     let dir = golden_path("");
@@ -525,4 +602,6 @@ fn regenerate_kernel_goldens() {
         format!("{}\n", golden_micro_fingerprint()),
     )
     .expect("write micro golden");
+    std::fs::write(golden_path("engines.fnv"), golden_engine_fingerprints())
+        .expect("write engine golden");
 }
