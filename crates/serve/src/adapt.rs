@@ -88,7 +88,8 @@ pub const DEFAULT_AUDIT_CAP: usize = 4096;
 ///
 /// Returns `NaN` when either side has zero rank variance (fewer than two
 /// distinct values) — callers must treat a non-finite coefficient as "no
-/// evidence", not as a collapse.
+/// evidence", not as a collapse. Values are ranked in [`f64::total_cmp`]
+/// order, so no input panics it; a `NaN` ties with nothing.
 ///
 /// # Panics
 ///
@@ -101,7 +102,7 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
     }
     let ranks = |vs: &[f64]| -> Vec<f64> {
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| vs[a].partial_cmp(&vs[b]).expect("finite metric values"));
+        order.sort_by(|&a, &b| vs[a].total_cmp(&vs[b]));
         let mut ranks = vec![0.0f64; n];
         let mut i = 0;
         while i < n {
@@ -712,6 +713,7 @@ pub struct AdaptationController<'a, P: BatchPredictor> {
     audit_cap: usize,
     carry: AuditCarry,
     samples: u64,
+    rejected: u64,
     cooldown_until: u64,
     pending_bad_deploy: Option<f64>,
 }
@@ -721,6 +723,7 @@ impl<P: BatchPredictor> std::fmt::Debug for AdaptationController<'_, P> {
         f.debug_struct("AdaptationController")
             .field("phase", &self.phase.name())
             .field("samples", &self.samples)
+            .field("rejected", &self.rejected)
             .field("generation", &self.slot.generation())
             .finish_non_exhaustive()
     }
@@ -744,6 +747,7 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
             audit_cap: DEFAULT_AUDIT_CAP,
             carry: AuditCarry::default(),
             samples: 0,
+            rejected: 0,
             cooldown_until: 0,
             pending_bad_deploy: None,
         }
@@ -834,6 +838,11 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
         self.samples
     }
 
+    /// Samples [`ingest`](Self::ingest) rejected for a non-finite latency.
+    pub fn rejected_samples(&self) -> u64 {
+        self.rejected
+    }
+
     /// The drift monitor (for inspection).
     pub fn monitor(&self) -> &DriftMonitor {
         &self.monitor
@@ -856,12 +865,22 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
     /// Ingests one live sample: the architecture encoding that was served
     /// and the latency the device actually exhibited for it. Returns the
     /// deployed model's paired prediction (what the monitor recorded).
+    ///
+    /// A non-finite `observed_ms` is no latency: the sample is rejected
+    /// before it touches the controller's state (no sample count, no drift
+    /// or retrain window entry, no phase step) and counted in
+    /// [`rejected_samples`](Self::rejected_samples). The served prediction
+    /// is still returned.
     pub fn ingest(&mut self, encoding: &[f32], observed_ms: f64) -> f64 {
+        let predicted = self.slot.predict_encoding(encoding);
+        if !observed_ms.is_finite() {
+            self.rejected += 1;
+            return predicted;
+        }
         self.samples += 1;
         if let Some(s) = self.status {
             s.note_sample();
         }
-        let predicted = self.slot.predict_encoding(encoding);
         self.monitor.push(predicted, observed_ms);
         self.recent.push_back((encoding.to_vec(), observed_ms));
         if self.recent.len() > self.config.window {
@@ -1249,6 +1268,25 @@ mod tests {
             rho > 0.8 && rho < 1.0,
             "ties keep rho in (0.8, 1), got {rho}"
         );
+    }
+
+    #[test]
+    fn spearman_ranks_non_finite_values_without_panicking() {
+        let xs = [1.0, f64::NAN, 3.0, f64::INFINITY, -f64::NAN, 2.0, 2.0];
+        let ys = [f64::NEG_INFINITY, 2.0, f64::NAN, 4.0, 5.0, 6.0, 7.0];
+        let rho = spearman(&xs, &ys);
+        assert!((-1.0..=1.0).contains(&rho), "rho {rho}");
+        let rho = spearman(&[f64::NAN; 4], &[1.0, 2.0, 3.0, 4.0]);
+        assert!(rho.is_nan() || (-1.0..=1.0).contains(&rho), "rho {rho}");
+        // A monitor that was handed one NaN observation checks without
+        // panicking at every later sample.
+        let cfg = quick_config();
+        let mut monitor = DriftMonitor::new(32);
+        for i in 0..40u64 {
+            let x = f64::from(enc(i)[0]);
+            monitor.push(10.0 * x, if i == 20 { f64::NAN } else { 10.0 * x });
+            let _ = monitor.check(&cfg);
+        }
     }
 
     #[test]

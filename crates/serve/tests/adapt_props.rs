@@ -11,7 +11,10 @@
 //!   shadow: the deployment generation moves only through audited
 //!   promotions (each behind a passing verdict) and rollbacks, no matter
 //!   where chaos bias or a bad deploy lands, or how long the retrained
-//!   shadow takes to arrive.
+//!   shadow takes to arrive;
+//! * a non-finite latency reading is rejected before it touches the
+//!   controller, wherever it lands, so it can neither panic the drift check
+//!   nor enter a window.
 
 use proptest::prelude::*;
 
@@ -199,5 +202,118 @@ proptest! {
                 i += 1;
             }
         }
+    }
+}
+
+/// The three readings no latency can be.
+const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// A controller over `slot` with the small windows the state-machine
+/// properties use.
+fn small_controller<'a>(
+    slot: &'a ModelSlot<LinearModel>,
+    clock: &'a VirtualClock,
+) -> AdaptationController<'a, LinearModel> {
+    AdaptationController::new(
+        slot,
+        clock,
+        AdaptConfig {
+            window: 16,
+            min_samples: 8,
+            validation_pairs: 8,
+            probation: 8,
+            cooldown: 8,
+            ..AdaptConfig::default()
+        },
+    )
+}
+
+/// NaN, +∞ and −∞ after every ordinary sample of a stream that drifts,
+/// flags, retrains and promotes: each is counted and leaves the sample
+/// count, the drift window, the retrain window, the phase and the audit as
+/// they were, and the served prediction is still returned.
+#[test]
+fn non_finite_readings_leave_the_controller_unchanged() {
+    let clock = VirtualClock::new();
+    let slot = ModelSlot::new(LinearModel { scale: 10.0 });
+    let mut ctl = small_controller(&slot, &clock);
+    let mut rejected = 0;
+    for i in 0..200u64 {
+        let e = vec![lane(i) as f32, 0.0];
+        let scale = if i < 60 { 10.0 } else { 25.0 };
+        ctl.ingest(&e, scale * lane(i));
+        if ctl.awaiting_retrain() {
+            let (encs, obs) = ctl.retrain_window();
+            ctl.install_shadow(slot.with_current(|m| refit(m, &encs, &obs)));
+        }
+        for bad in NON_FINITE {
+            let before = (
+                ctl.samples(),
+                ctl.monitor().len(),
+                ctl.phase(),
+                ctl.audit().to_vec(),
+                ctl.retrain_window(),
+            );
+            let served = ctl.ingest(&e, bad);
+            rejected += 1;
+            assert_eq!(served, slot.with_current(|m| m.predict_encoding(&e)));
+            let after = (
+                ctl.samples(),
+                ctl.monitor().len(),
+                ctl.phase(),
+                ctl.audit().to_vec(),
+                ctl.retrain_window(),
+            );
+            assert_eq!(after, before, "a {bad} reading at sample {i} moved state");
+            assert_eq!(ctl.rejected_samples(), rejected);
+        }
+    }
+    assert!(
+        ctl.audit()
+            .iter()
+            .any(|e| matches!(e, AdaptEvent::Promoted { .. })),
+        "the stream must drive the controller through a promotion: {:?}",
+        ctl.audit()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Non-finite readings at arbitrary positions of a stream with regime
+    /// changes never panic the controller; the audit stays well-formed and
+    /// every one of them is counted, none as a sample.
+    #[test]
+    fn non_finite_readings_never_panic_the_controller(
+        seg_scales in proptest::collection::vec(5.0f64..30.0, 4),
+        bad_at in proptest::collection::vec(0u64..320, 24),
+        bad_kind in proptest::collection::vec(0usize..3, 24),
+        retrain_delay in 0usize..10,
+    ) {
+        // About half the 24 positions fall inside the 160-sample stream.
+        let bad: Vec<(u64, usize)> = bad_at.into_iter().zip(bad_kind).filter(|&(at, _)| at < 160).collect();
+        let clock = VirtualClock::new();
+        let slot = ModelSlot::new(LinearModel { scale: seg_scales[0] });
+        let mut ctl = small_controller(&slot, &clock);
+        let mut parked = 0usize;
+        for i in 0..160u64 {
+            let e = vec![lane(i) as f32, 0.0];
+            for &(_, kind) in bad.iter().filter(|&&(at, _)| at == i) {
+                ctl.ingest(&e, NON_FINITE[kind]);
+            }
+            ctl.ingest(&e, seg_scales[i as usize / 40] * lane(i));
+            if ctl.awaiting_retrain() {
+                if parked == retrain_delay {
+                    let (encs, obs) = ctl.retrain_window();
+                    ctl.install_shadow(slot.with_current(|m| refit(m, &encs, &obs)));
+                    parked = 0;
+                } else {
+                    parked += 1;
+                }
+            }
+            prop_assert!(audit_is_well_formed(ctl.audit()), "{:?}", ctl.audit());
+        }
+        prop_assert_eq!(ctl.samples(), 160);
+        prop_assert_eq!(ctl.rejected_samples(), bad.len() as u64);
     }
 }

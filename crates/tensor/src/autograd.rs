@@ -926,10 +926,10 @@ impl Graph {
                     let (av, bv) = (node_value(nodes, *a), node_value(nodes, *b));
                     let (m, k) = (av.shape().dim(0), av.shape().dim(1));
                     let n = bv.shape().dim(1);
-                    // ga = g · bᵀ and gb = aᵀ · g through the transpose-free
-                    // GEMM variants (the transpose folds into packing /
-                    // row-tile gathering); bit-identical to
-                    // `matmul(transpose())`. Each runs only when its operand
+                    // ga = g · bᵀ and gb = aᵀ · g through the GEMM's
+                    // transposing entry points (each transposes into a
+                    // pooled buffer, then runs `matmul_into`); bit-identical
+                    // to `matmul(transpose())`. Each runs only when its operand
                     // requires a gradient: an input batch on the left would
                     // otherwise cost the step's largest GEMM for a delta
                     // that is recycled unread. Both buffers are fully

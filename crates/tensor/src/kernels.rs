@@ -16,28 +16,37 @@
 //! reductions, or FMA contraction — each of those changes rounding and would
 //! break the repo-wide byte-identical checkpoint invariant.
 //!
-//! **Sparse dispatch.** On the strict tier, once the fast-tier hook has
-//! declined, [`matmul_into`] and [`matmul_tn_into`] count the left operand's
-//! nonzero entries in one vectorized pass that stops as soon as the count
-//! passes a quarter of them. When at most a quarter are nonzero and the
-//! output is at least 32 columns wide, the product runs the zero-skipping row
-//! kernel instead of the packed tiles: its AVX2 body in the `simd` module,
-//! which keeps each output row's accumulators in registers, or the axpy loop
-//! with SIMD off; `matmul_tn_into` first transposes its left operand into a
-//! pooled buffer. Both limits are
-//! constants (DESIGN.md §8 has the measurements), never knobs. Skipping a
-//! zero term moves no bit: every accumulator starts at `+0.0`, and with a
+//! **One GEMM.** [`matmul_into`] is the only GEMM: [`matmul_nt_into`] and
+//! [`matmul_tn_into`] transpose their transposed operand into a pooled
+//! buffer (a pure permutation) and call it. It chooses a product's kernel
+//! once — the axpy loop below 4 rows or 4,096 multiply-adds, then the
+//! fast tier's autotuned choice ([`crate::fastpath`]) when that tier is
+//! active, then the zero-skipping kernel for a sparse left operand, then the
+//! strict tile (AVX2 4×16 with SIMD on, portable 4×8 off) — and one tiling
+//! loop runs every tile of both tiers. That loop gathers a short row block
+//! into a zero-padded strip and runs a narrow panel into a scratch tile, so
+//! a tile never sees an edge and no padded row or column is stored.
+//!
+//! **Sparse dispatch.** On the strict tier [`matmul_into`], and so all three
+//! entry points, counts the left operand's nonzero entries in one
+//! vectorized pass that stops as soon as the count passes a quarter of them.
+//! When at most a quarter are nonzero and the output is at least 32 columns
+//! wide, the product runs the zero-skipping row kernel instead of the packed
+//! tiles: its AVX2 body in the `simd` module, which keeps each output row's
+//! accumulators in registers, or the axpy loop with SIMD off. Both limits
+//! are constants (DESIGN.md §8 has the measurements), never knobs. Skipping
+//! a zero term moves no bit: every accumulator starts at `+0.0`, and with a
 //! finite right operand the skipped term is `±0.0`, which cannot change an
 //! accumulator that started at `+0.0` (it can never have become `−0.0`) — the
 //! rule the skinny axpy path and the [`matmul_ref`] oracle already rely on.
 //! The predictor fit's one-hot input batch (22 of 154 entries nonzero) takes
 //! this path in `x·W1` and `xᵀ·g`; its first hidden layer's ReLU output, more
-//! than half nonzero, stays packed. The fast tier runs the same count in
-//! [`crate::fastpath`] and, for an operand that passes it, adds this kernel
-//! to the candidates its per-shape autotuner times against the FMA tiles:
-//! those cost about half as much per term as the strict tiles, so the exact
-//! kernel beats them on wide outputs and loses on narrow ones, and timing
-//! picks between them without a second constant.
+//! than half nonzero, stays packed. On the fast tier an operand that passes
+//! the same count adds this kernel to the candidates the per-shape
+//! autotuner times against the FMA tiles: those cost about half as much per
+//! term as the strict tiles, so the exact kernel beats them on wide outputs
+//! and loses on narrow ones, and timing picks between them without a second
+//! constant.
 //!
 //! The thread count is a process-wide knob ([`set_num_threads`], default 1 =
 //! serial). It is intentionally *not* part of
@@ -46,8 +55,11 @@
 //! so it does not belong to a job's identity.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::fastpath::{with_tuned_kernel, Candidate};
+use crate::simd::Tile;
 use crate::Tensor;
 
 pub use crate::simd::{set_simd_enabled, simd_enabled, SIMD_ENV};
@@ -288,17 +300,12 @@ pub fn par_chunks(
     crate::workers::run_chunked(out, chunk_len, per_group, groups, &f);
 }
 
-/// Output rows per micro-tile.
+/// Output rows of the smallest tile: a product with fewer rows takes the
+/// axpy loop.
 const MR: usize = 4;
-/// Columns per packed B panel (one vector register of `f32`s) on the
-/// portable path.
+/// Columns per packed B panel (one vector register of `f32`s) of the
+/// portable 4×8 tile.
 const JR: usize = 8;
-/// Panel width on the AVX2 path: two `f32x8` registers per row. The wider
-/// tile exists purely for instruction-level parallelism — eight independent
-/// accumulator chains hide the vector-add latency a single chain per row
-/// cannot. Panel width never touches the per-element accumulation order, so
-/// both widths produce identical bits.
-const JR_SIMD: usize = 16;
 /// Below this many multiply-adds the packed path loses to the axpy loop.
 const PACK_MIN_FLOPS: usize = 1 << 12;
 /// Below this many multiply-adds threading costs more than it saves. The
@@ -315,8 +322,12 @@ const SPARSE_DIVISOR: usize = 4;
 const SPARSE_MIN_COLS: usize = 32;
 /// Entries counted between early-exit checks of [`sparse_nonzeros`].
 const COUNT_CHUNK: usize = 1024;
+/// Scratch tile large enough for every tile (8 rows × 32 columns).
+const SCRATCH_LEN: usize = 8 * 32;
 
-/// `out = a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`).
+/// `out = a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`) — the one
+/// GEMM behind every product in the crate, and the one place that chooses
+/// which kernel a product runs.
 ///
 /// Byte-identical to the naive triple loop for finite inputs — each output
 /// element accumulates `a[i][p] * b[p][j]` in ascending `p` with a single
@@ -338,42 +349,32 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         out.fill(0.0);
         return;
     }
-    let flops = m * k * n;
     let use_simd = crate::simd::simd_enabled();
-    if m < MR || flops < PACK_MIN_FLOPS {
+    if m < MR || m * k * n < PACK_MIN_FLOPS {
         gemm_axpy(a, b, k, n, 0, use_simd, out);
         return;
     }
-    if crate::fastpath::matmul_fast(a, b, m, k, n, out) {
-        return;
-    }
-    if let Some(nonzeros) = sparse_nonzeros(a, n) {
+    let nonzeros = sparse_nonzeros(a, n);
+    if crate::mode::fast_active() {
+        with_tuned_kernel(m, k, n, nonzeros.is_some(), |candidate| match candidate {
+            Candidate::Tile(tile) => gemm_tiled(a, b, m, k, n, tile.into(), out),
+            Candidate::Sparse => {
+                let nonzeros =
+                    nonzeros.expect("zero-skipping kernel offered for a sparse lhs only");
+                gemm_sparse(a, b, k, n, nonzeros, true, out);
+            }
+        });
+    } else if let Some(nonzeros) = nonzeros {
         gemm_sparse(a, b, k, n, nonzeros, use_simd, out);
-        return;
-    }
-    let threads = if flops < PAR_MIN_FLOPS {
-        1
     } else {
-        num_threads()
-    };
-    // Short-lived pool borrows: the pool must never stay borrowed across a
-    // kernel call, which may itself take scratch buffers.
-    let width = if use_simd { JR_SIMD } else { JR };
-    let mut packed = with_pool(|pool| pool.take(k * n.next_multiple_of(width)));
-    pack_panels(b, k, n, width, use_simd, &mut packed);
-    let rows_per = m.div_ceil(threads.clamp(1, m));
-    par_chunks(out, rows_per * n, threads, |gi, chunk| {
-        gemm_packed(a, &packed, k, n, gi * rows_per, width, use_simd, chunk);
-    });
-    with_pool(|pool| pool.recycle(packed));
+        gemm_tiled(a, b, m, k, n, strict_tile(use_simd), out);
+    }
 }
 
-/// `out = a · bᵀ` for row-major `a` (`[m, d]`) and `b` (`[n, d]`) — the
-/// B operand is read transposed **during packing**, so the `Matmul`
-/// backward needs no materialized transpose buffer. Per output element the
-/// accumulation is `a[i][p] · b[j][p]` in ascending `p` with one `f32`
-/// accumulator: exactly the chain `matmul_into(a, transpose(b))` runs, so
-/// the bits are identical to it.
+/// `out = a · bᵀ` for row-major `a` (`[m, d]`) and `b` (`[n, d]`): `b` is
+/// transposed into a pooled buffer and the product runs through
+/// [`matmul_into`]. A transpose is a pure permutation, so the bits are
+/// exactly `matmul_into(a, bᵀ)`'s.
 ///
 /// # Panics
 ///
@@ -382,48 +383,13 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
     assert_eq!(a.len(), m * d, "matmul_nt lhs length mismatch");
     assert_eq!(b.len(), n * d, "matmul_nt rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_nt output length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if d == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let flops = m * d * n;
-    if m < MR || flops < PACK_MIN_FLOPS {
-        // Tiny product: materialize the transpose (cheap at this size) and
-        // run the standard kernel, keeping the historical bit sequence.
-        let mut bt = with_pool(|pool| pool.take_filled(d * n));
-        transpose_into(b, n, d, &mut bt);
-        matmul_into(a, &bt, m, d, n, out);
-        with_pool(|pool| pool.recycle(bt));
-        return;
-    }
-    if crate::fastpath::matmul_nt_fast(a, b, m, d, n, out) {
-        return;
-    }
-    let use_simd = crate::simd::simd_enabled();
-    let threads = if flops < PAR_MIN_FLOPS {
-        1
-    } else {
-        num_threads()
-    };
-    let width = if use_simd { JR_SIMD } else { JR };
-    let mut packed = with_pool(|pool| pool.take(d * n.next_multiple_of(width)));
-    pack_panels_t(b, d, n, width, use_simd, &mut packed);
-    let rows_per = m.div_ceil(threads.clamp(1, m));
-    par_chunks(out, rows_per * n, threads, |gi, chunk| {
-        gemm_packed(a, &packed, d, n, gi * rows_per, width, use_simd, chunk);
-    });
-    with_pool(|pool| pool.recycle(packed));
+    with_transposed(b, n, d, |bt| matmul_into(a, bt, m, d, n, out));
 }
 
-/// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`) —
-/// the A operand is gathered transposed one row-tile at a time (a 4×`d`
-/// scratch strip), so the `Matmul` backward needs no materialized
-/// transpose. Per output element the accumulation is `a[p][i] · b[p][j]`
-/// in ascending `p` with one `f32` accumulator: exactly the chain
-/// `matmul_into(transpose(a), b)` runs, so the bits are identical to it.
+/// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`): `a`
+/// is transposed into a pooled buffer and the product runs through
+/// [`matmul_into`]. A transpose is a pure permutation, so the bits are
+/// exactly `matmul_into(aᵀ, b)`'s.
 ///
 /// # Panics
 ///
@@ -432,209 +398,183 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
     assert_eq!(a.len(), d * m, "matmul_tn lhs length mismatch");
     assert_eq!(b.len(), d * n, "matmul_tn rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_tn output length mismatch");
-    if m == 0 || n == 0 {
-        return;
+    with_transposed(a, d, m, |at| matmul_into(at, b, m, d, n, out));
+}
+
+/// Runs `f` on row-major `src` (`[rows, cols]`) transposed into a pooled
+/// buffer.
+fn with_transposed(src: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32])) {
+    let mut t = with_pool(|pool| pool.take_filled(rows * cols));
+    transpose_into(src, rows, cols, &mut t);
+    f(&t);
+    with_pool(|pool| pool.recycle(t));
+}
+
+/// The strict tile: AVX2 4×16 with SIMD on, the portable 4×8 with it off.
+/// Both keep one accumulator per output element fed multiply-then-add in
+/// ascending `p`, so they store identical bits.
+fn strict_tile(use_simd: bool) -> Tile {
+    if use_simd {
+        Tile::Avx2
+    } else {
+        Tile::Portable
     }
-    if d == 0 {
-        out.fill(0.0);
-        return;
+}
+
+/// Packs `b` (`[k, n]`) into column panels of `width`, each row-major
+/// `[k, width]`, so a tile reads one contiguous run of B per reduction
+/// step. A trailing narrow panel is zero-padded to the full width: its
+/// padded lanes multiply zeros into a scratch tile and are never stored,
+/// leaving the live lanes' accumulation chains untouched.
+fn pack_panels(b: &[f32], k: usize, n: usize, width: usize, packed: &mut Vec<f32>) {
+    for j0 in (0..n).step_by(width) {
+        let w = width.min(n - j0);
+        for p in 0..k {
+            packed.extend_from_slice(&b[p * n + j0..p * n + j0 + w]);
+            packed.resize(packed.len() + (width - w), 0.0);
+        }
     }
-    let flops = m * d * n;
-    if m < MR || flops < PACK_MIN_FLOPS {
-        let mut at = with_pool(|pool| pool.take_filled(d * m));
-        transpose_into(a, d, m, &mut at);
-        matmul_into(&at, b, m, d, n, out);
-        with_pool(|pool| pool.recycle(at));
-        return;
-    }
-    if crate::fastpath::matmul_tn_fast(a, b, d, m, n, out) {
-        return;
-    }
-    let use_simd = crate::simd::simd_enabled();
-    if let Some(nonzeros) = sparse_nonzeros(a, n) {
-        // The zero-skipping kernel walks rows of the left operand, so aᵀ
-        // is materialized once (a pure permutation: no bit can move).
-        let mut at = with_pool(|pool| pool.take_filled(d * m));
-        transpose_into(a, d, m, &mut at);
-        gemm_sparse(&at, b, d, n, nonzeros, use_simd, out);
-        with_pool(|pool| pool.recycle(at));
-        return;
-    }
-    let threads = if flops < PAR_MIN_FLOPS {
+}
+
+/// The packed GEMM `out = a · b` on `tile`, for both tiers: packs `b` at
+/// the tile's width, then splits the output rows over the kernel threads
+/// (serial below [`PAR_MIN_FLOPS`]). When the output is too short to give
+/// every thread a full row block, a fused tile splits the reduction
+/// dimension instead: each participant computes a private `m×n` partial
+/// product over its `k`-range and the partials are summed in ascending
+/// range order. That is the one place an output element is touched by more
+/// than one accumulator, so no strict tile ever reaches it.
+fn gemm_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, tile: Tile, out: &mut [f32]) {
+    let width = tile.width();
+    // Short-lived pool borrows: the pool must never stay borrowed across a
+    // kernel call, which may itself take scratch buffers.
+    let mut packed = with_pool(|pool| pool.take(k * n.next_multiple_of(width)));
+    pack_panels(b, k, n, width, &mut packed);
+    let threads = if m * k * n < PAR_MIN_FLOPS {
         1
     } else {
         num_threads()
     };
-    let width = if use_simd { JR_SIMD } else { JR };
-    let mut packed = with_pool(|pool| pool.take(d * n.next_multiple_of(width)));
-    pack_panels(b, d, n, width, use_simd, &mut packed);
-    let rows_per = m.div_ceil(threads.clamp(1, m));
-    let (packed_ref, a_ref) = (&packed, a);
-    par_chunks(out, rows_per * n, threads, |gi, chunk| {
-        // Gather the MR columns of `a` that feed this row-tile into a
-        // contiguous strip (rows of aᵀ), then run the standard packed
-        // kernel on the strip. One pass over `a` total — the same traffic
-        // as a full transpose, without the intermediate buffer.
-        let first = gi * rows_per;
-        let rows = chunk.len() / n;
-        let mut strip = with_pool(|pool| pool.take_filled(MR * d));
-        let mut r = 0;
-        while r < rows {
-            let h = MR.min(rows - r);
-            for p in 0..d {
-                let base = p * m + first + r;
-                for ir in 0..h {
-                    strip[ir * d + p] = a_ref[base + ir];
+    if threads > 1 && m < threads * tile.mr() && tile.fused() {
+        let k_per = k.div_ceil(threads.min(k));
+        let splits = k.div_ceil(k_per);
+        let mut partials = with_pool(|pool| pool.take_filled(splits * m * n));
+        par_chunks(&mut partials, m * n, splits, |gi, chunk| {
+            let k0 = gi * k_per;
+            gemm_rows(a, k, 0, k0..k.min(k0 + k_per), &packed, n, tile, chunk);
+        });
+        let (first, rest) = partials.split_at(m * n);
+        out.copy_from_slice(first);
+        for part in rest.chunks_exact(m * n) {
+            if !crate::simd::axpy_row(true, true, out, part, 1.0) {
+                for (o, &p) in out.iter_mut().zip(part) {
+                    *o += p;
                 }
             }
-            gemm_packed(
-                &strip[..h * d],
-                packed_ref,
-                d,
-                n,
-                0,
-                width,
-                use_simd,
-                &mut chunk[r * n..(r + h) * n],
-            );
-            r += h;
         }
-        with_pool(|pool| pool.recycle(strip));
-    });
+        with_pool(|pool| pool.recycle(partials));
+    } else {
+        let rows_per = m.div_ceil(threads.clamp(1, m));
+        par_chunks(out, rows_per * n, threads, |gi, chunk| {
+            gemm_rows(a, k, gi * rows_per, 0..k, &packed, n, tile, chunk);
+        });
+    }
     with_pool(|pool| pool.recycle(packed));
 }
 
-/// Packs `b` (`[k, n]`) into column panels of width ≤ `width`; each panel is
-/// row-major `[k, panel width]` so the micro-kernel reads one contiguous
-/// vector of B per reduction step.
+/// The one tiling loop: runs `tile` over the output rows `out` covers (row
+/// `first_row` onward of the row-major `[m, k]` left operand `a`), over the
+/// reduction range `ks` of panels packed for the full depth `k`.
 ///
-/// With `pad` set (the SIMD path) a trailing narrow panel is zero-padded to
-/// the full `width`, so the vector micro-tile can run on every panel: the
-/// padded lanes multiply against zeros into a scratch tile and are never
-/// stored, leaving the live lanes' accumulation chains untouched.
-pub(crate) fn pack_panels(
-    b: &[f32],
-    k: usize,
-    n: usize,
-    width: usize,
-    pad: bool,
-    packed: &mut Vec<f32>,
-) {
-    let mut j0 = 0;
-    while j0 < n {
-        let w = width.min(n - j0);
-        for p in 0..k {
-            packed.extend_from_slice(&b[p * n + j0..p * n + j0 + w]);
-            if pad && w < width {
-                packed.resize(packed.len() + (width - w), 0.0);
-            }
-        }
-        j0 += w;
-    }
-}
-
-/// Like [`pack_panels`], but reads the source transposed: `src` is stored
-/// row-major `[n, k]` and is packed as if it were the `[k, n]` B operand.
-/// Fuses the transpose into the packing pass so `a · bᵀ` products never
-/// materialize `bᵀ`.
-pub(crate) fn pack_panels_t(
-    src: &[f32],
-    k: usize,
-    n: usize,
-    width: usize,
-    pad: bool,
-    packed: &mut Vec<f32>,
-) {
-    let mut j0 = 0;
-    while j0 < n {
-        let w = width.min(n - j0);
-        for p in 0..k {
-            for jj in 0..w {
-                packed.push(src[(j0 + jj) * k + p]);
-            }
-            if pad && w < width {
-                packed.resize(packed.len() + (width - w), 0.0);
-            }
-        }
-        j0 += w;
-    }
-}
-
-/// The packed-panel GEMM over output rows `first_row ..` covered by `out`.
-///
-/// Full-width tiles dispatch to the AVX2 micro-kernels when `use_simd` is
-/// set ([`crate::simd`]: 4×16 panels, 4×8 for a trailing half panel); edge
-/// tiles always take the portable path. Every variant keeps one sequential
-/// `k`-accumulator per output element, so the choice never changes the
-/// stored bits.
+/// Full row blocks and full-width panels run the tile straight into `out`.
+/// A short row block (only the last one can be) gathers into a zero-padded
+/// LHS strip, and a narrow trailing panel lands in a scratch tile first;
+/// only live rows and columns are stored, so no tile ever sees an edge and
+/// every stored element keeps the full tile's accumulation chain.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed(
+fn gemm_rows(
     a: &[f32],
-    packed: &[f32],
     k: usize,
-    n: usize,
     first_row: usize,
-    width: usize,
-    use_simd: bool,
+    ks: Range<usize>,
+    packed: &[f32],
+    n: usize,
+    tile: Tile,
     out: &mut [f32],
 ) {
+    let (mr, width) = (tile.mr(), tile.width());
+    let k_len = ks.len();
     let rows = out.len() / n;
+    let mut scratch = [0.0f32; SCRATCH_LEN];
+    let mut strip = Vec::new();
     let mut r = 0;
     while r < rows {
-        let h = MR.min(rows - r);
-        let a_base = (first_row + r) * k;
-        let mut j0 = 0;
-        let mut panel_off = 0;
-        while j0 < n {
-            let w = width.min(n - j0);
-            // SIMD panels are zero-padded to full width ([`pack_panels`]),
-            // so the panel stride is always `width` there.
-            let pw = if use_simd { width } else { w };
-            let panel = &packed[panel_off..panel_off + k * pw];
-            let done = if h < MR {
-                false
-            } else if use_simd && w == JR_SIMD {
-                crate::simd::tile_4x16(true, a, a_base, k, panel, out, r, n, j0)
-            } else if use_simd {
-                // Narrow trailing panel: run the full-width tile into a
-                // scratch tile (the padded lanes hit the packed zeros) and
-                // store only the `w` live columns. Each live lane's
-                // accumulator chain is exactly the full-width tile's.
-                let mut scratch = [0.0f32; MR * JR_SIMD];
-                let ok =
-                    crate::simd::tile_4x16(true, a, a_base, k, panel, &mut scratch, 0, JR_SIMD, 0);
-                if ok {
-                    for ir in 0..MR {
-                        out[(r + ir) * n + j0..(r + ir) * n + j0 + w]
-                            .copy_from_slice(&scratch[ir * JR_SIMD..ir * JR_SIMD + w]);
-                    }
-                }
-                ok
-            } else if w == JR {
-                micro_tile_4x8(a, a_base, k, panel, out, r, n, j0);
-                true
-            } else {
-                false
-            };
-            if !done {
-                micro_tile_edge(a, a_base, k, panel, pw, h, w, out, r, n, j0);
+        let h = mr.min(rows - r);
+        let (lhs, base, stride) = if h == mr {
+            (a, (first_row + r) * k + ks.start, k)
+        } else {
+            strip = with_pool(|pool| pool.take_zeroed(mr * k_len));
+            for ir in 0..h {
+                let row = (first_row + r + ir) * k;
+                strip[ir * k_len..(ir + 1) * k_len]
+                    .copy_from_slice(&a[row + ks.start..row + ks.end]);
             }
-            panel_off += k * pw;
-            j0 += w;
+            (strip.as_slice(), 0, k_len)
+        };
+        let mut panel_off = ks.start * width;
+        for j0 in (0..n).step_by(width) {
+            let w = width.min(n - j0);
+            let panel = &packed[panel_off..panel_off + k_len * width];
+            if h == mr && w == width {
+                run_tile(tile, lhs, base, stride, k_len, panel, out, r, n, j0);
+            } else {
+                let scratch = &mut scratch[..mr * width];
+                run_tile(tile, lhs, base, stride, k_len, panel, scratch, 0, width, 0);
+                for ir in 0..h {
+                    out[(r + ir) * n + j0..(r + ir) * n + j0 + w]
+                        .copy_from_slice(&scratch[ir * width..ir * width + w]);
+                }
+            }
+            panel_off += k * width;
         }
         r += h;
     }
+    if !strip.is_empty() {
+        with_pool(|pool| pool.recycle(strip));
+    }
 }
 
-/// The full 4×8 micro-tile. Fixed-size arrays keep the 32 accumulators in
-/// vector registers; the accumulation order (single accumulator per output
-/// element, ascending `p`) is exactly the edge path's and the reference's.
+/// Runs one tile of [`gemm_rows`]: a SIMD stamp through
+/// [`crate::simd::tile`], or the portable 4×8 tile.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn run_tile(
+    tile: Tile,
+    a: &[f32],
+    a_base: usize,
+    a_stride: usize,
+    k_len: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    r: usize,
+    n: usize,
+    j0: usize,
+) {
+    if !crate::simd::tile(tile, a, a_base, a_stride, k_len, panel, out, r, n, j0) {
+        micro_tile_4x8(a, a_base, a_stride, panel, out, r, n, j0);
+    }
+}
+
+/// The portable 4×8 micro-tile ([`Tile::Portable`]), LHS rows `a_stride`
+/// apart. Fixed-size arrays keep the 32 accumulators in vector registers;
+/// each output element has one accumulator fed `acc + a·b` in ascending
+/// `p`, the reference's chain.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_tile_4x8(
     a: &[f32],
     a_base: usize,
-    k: usize,
+    a_stride: usize,
     panel: &[f32],
     out: &mut [f32],
     r: usize,
@@ -645,7 +585,7 @@ fn micro_tile_4x8(
     for (p, brow) in panel.chunks_exact(JR).enumerate() {
         let brow: &[f32; JR] = brow.try_into().expect("panel row width");
         for (ir, accr) in acc.iter_mut().enumerate() {
-            let av = a[a_base + ir * k + p];
+            let av = a[a_base + ir * a_stride + p];
             for (slot, &bv) in accr.iter_mut().zip(brow) {
                 *slot += av * bv;
             }
@@ -653,39 +593,6 @@ fn micro_tile_4x8(
     }
     for (ir, accr) in acc.iter().enumerate() {
         out[(r + ir) * n + j0..(r + ir) * n + j0 + JR].copy_from_slice(accr);
-    }
-}
-
-/// Edge tiles (short rows at the bottom, narrow panel at the right; panel
-/// width up to [`JR_SIMD`] − 1 on the SIMD path, [`JR`] on the portable
-/// one). `stride` is the packed panel row stride, which exceeds `w` when
-/// the panel is zero-padded.
-#[allow(clippy::too_many_arguments)]
-fn micro_tile_edge(
-    a: &[f32],
-    a_base: usize,
-    k: usize,
-    panel: &[f32],
-    stride: usize,
-    h: usize,
-    w: usize,
-    out: &mut [f32],
-    r: usize,
-    n: usize,
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; JR_SIMD]; MR];
-    for p in 0..k {
-        let brow = &panel[p * stride..p * stride + w];
-        for (ir, accr) in acc.iter_mut().enumerate().take(h) {
-            let av = a[a_base + ir * k + p];
-            for (slot, &bv) in accr.iter_mut().zip(brow) {
-                *slot += av * bv;
-            }
-        }
-    }
-    for (ir, accr) in acc.iter().enumerate().take(h) {
-        out[(r + ir) * n + j0..(r + ir) * n + j0 + w].copy_from_slice(&accr[..w]);
     }
 }
 
@@ -718,10 +625,7 @@ fn gemm_axpy(
                 continue;
             }
             let brow = &b[p * n..(p + 1) * n];
-            if fast && crate::simd::axpy_row_fma(orow, brow, av) {
-                continue;
-            }
-            if !crate::simd::axpy_row(use_simd, orow, brow, av) {
+            if !crate::simd::axpy_row(use_simd, fast, orow, brow, av) {
                 for (o, &bv) in orow.iter_mut().zip(brow) {
                     *o += av * bv;
                 }
@@ -737,7 +641,7 @@ fn gemm_axpy(
 /// dense operand costs a fraction of one pass. The per-chunk count is a
 /// branch-free compare-and-add the compiler vectorizes. `NaN != 0.0`, so
 /// NaNs count as nonzero.
-pub(crate) fn sparse_nonzeros(a: &[f32], n: usize) -> Option<usize> {
+fn sparse_nonzeros(a: &[f32], n: usize) -> Option<usize> {
     if n < SPARSE_MIN_COLS {
         return None;
     }
@@ -758,7 +662,7 @@ pub(crate) fn sparse_nonzeros(a: &[f32], n: usize) -> Option<usize> {
 /// in registers) or, with SIMD off, [`gemm_axpy`]; both add `a[i][p]·b[p][j]`
 /// only for nonzero `a[i][p]`, in ascending `p`, from `+0.0` — the packed
 /// kernel's chain without its `±0.0` terms, so the bits match it.
-pub(crate) fn gemm_sparse(
+fn gemm_sparse(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -821,8 +725,8 @@ pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], h: &A
     assert_eq!(w.len(), g.len(), "adam slices must match");
     assert_eq!(w.len(), m.len(), "adam slices must match");
     assert_eq!(w.len(), v.len(), "adam slices must match");
-    let fast_done = crate::mode::fast_active() && crate::simd::adam_rows_fma(w, g, m, v, h);
-    let done = fast_done || crate::simd::adam_rows(crate::simd::simd_enabled(), w, g, m, v, h);
+    let fast = crate::mode::fast_active();
+    let done = crate::simd::adam_rows(crate::simd::simd_enabled(), fast, w, g, m, v, h);
     let start = if done { w.len() - w.len() % 8 } else { 0 };
     let (c1, c2) = (1.0 - h.beta1, 1.0 - h.beta2);
     for i in start..w.len() {
@@ -1010,11 +914,22 @@ mod tests {
         set_num_threads(before);
     }
 
+    /// Row-major `src` (`[rows, cols]`) transposed, as a tensor.
+    fn transposed(src: &Tensor) -> Tensor {
+        let (rows, cols) = (src.shape().dim(0), src.shape().dim(1));
+        let mut t = vec![0.0f32; rows * cols];
+        for i in 0..rows {
+            for j in 0..cols {
+                t[j * rows + i] = src.as_slice()[i * cols + j];
+            }
+        }
+        Tensor::from_vec(t, &[cols, rows])
+    }
+
     #[test]
-    fn matmul_nt_matches_transpose_then_matmul_bits() {
+    fn matmul_nt_matches_reference_bits() {
         // Shapes chosen to hit the small fallback, full SIMD panels, and
-        // zero-padded edge panels; the NT variant must reproduce the exact
-        // bits of materializing bᵀ first.
+        // zero-padded edge panels; `a · bᵀ` must store the reference's bits.
         for (m, d, n, seed) in [
             (3usize, 5usize, 4usize, 1u64), // small fallback
             (64, 154, 128, 2),              // full panels
@@ -1023,23 +938,15 @@ mod tests {
         ] {
             let a = Tensor::uniform(&[m, d], -1.0, 1.0, seed);
             let b = Tensor::uniform(&[n, d], -1.0, 1.0, seed + 50);
-            let mut bt = vec![0.0f32; d * n];
-            transpose_into(b.as_slice(), n, d, &mut bt);
-            let mut want = vec![0.0f32; m * n];
-            matmul_into(a.as_slice(), &bt, m, d, n, &mut want);
+            let want = matmul_ref(&a, &transposed(&b));
             let mut got = vec![1.0f32; m * n];
             matmul_nt_into(a.as_slice(), b.as_slice(), m, d, n, &mut got);
-            assert!(
-                want.iter()
-                    .zip(&got)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "nt bit mismatch at {m}x{d}x{n}"
-            );
+            assert_bits_eq(&got, want.as_slice(), &format!("nt {m}x{d}x{n}"));
         }
     }
 
     #[test]
-    fn matmul_tn_matches_transpose_then_matmul_bits() {
+    fn matmul_tn_matches_reference_bits() {
         for (d, m, n, seed) in [
             (5usize, 3usize, 4usize, 11u64), // small fallback
             (154, 64, 128, 12),              // full panels
@@ -1048,18 +955,10 @@ mod tests {
         ] {
             let a = Tensor::uniform(&[d, m], -1.0, 1.0, seed);
             let b = Tensor::uniform(&[d, n], -1.0, 1.0, seed + 50);
-            let mut at = vec![0.0f32; m * d];
-            transpose_into(a.as_slice(), d, m, &mut at);
-            let mut want = vec![0.0f32; m * n];
-            matmul_into(&at, b.as_slice(), m, d, n, &mut want);
+            let want = matmul_ref(&transposed(&a), &b);
             let mut got = vec![1.0f32; m * n];
             matmul_tn_into(a.as_slice(), b.as_slice(), d, m, n, &mut got);
-            assert!(
-                want.iter()
-                    .zip(&got)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "tn bit mismatch at {d}x{m}x{n}"
-            );
+            assert_bits_eq(&got, want.as_slice(), &format!("tn {d}x{m}x{n}"));
         }
     }
 
@@ -1099,14 +998,12 @@ mod tests {
         flags
     }
 
-    /// The strict packed path on `a · b` whatever the operand's density:
-    /// the chain the zero-skipping kernel must reproduce bit for bit.
+    /// The shared tiling loop with the strict tile on `a · b` whatever the
+    /// operand's density: the chain the zero-skipping kernel must reproduce
+    /// bit for bit.
     fn packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, use_simd: bool) -> Vec<f32> {
-        let width = if use_simd { JR_SIMD } else { JR };
-        let mut panels = Vec::new();
-        pack_panels(b, k, n, width, use_simd, &mut panels);
         let mut out = vec![f32::NAN; m * n];
-        gemm_packed(a, &panels, k, n, 0, width, use_simd, &mut out);
+        gemm_tiled(a, b, m, k, n, strict_tile(use_simd), &mut out);
         out
     }
 

@@ -1,5 +1,14 @@
 //! Runtime-dispatched SIMD micro-kernels (AVX2 / AVX-512 on x86-64).
 //!
+//! **One body per kernel family.** The GEMM micro-tile, the axpy row update
+//! and Adam are each written once, as a macro over `madd(acc, x, y)`, and
+//! stamped once per instruction set × contraction: the strict `madd` is
+//! `add(acc, mul(x, y))`, the fused one `fmadd(x, y, acc)`. Every stamp
+//! carries its own `#[target_feature]`, so none relies on being inlined,
+//! and each family has one safe wrapper ([`tile`], [`axpy_row`],
+//! [`adam_rows`]) that checks with `assert!`, in release builds too, every
+//! bound its bodies read and write through.
+//!
 //! **Strict tier.** Vectorization widens across **output columns** only. Each
 //! output element still owns a single accumulator that consumes its
 //! `a[i][p]·b[p][j]` terms in ascending `p` — lane `j` of one
@@ -14,11 +23,12 @@
 //! output element that starts at `+0.0` and adds only the nonzero terms in
 //! ascending `p`, so it stores the packed 4×16 tile's bits.
 //!
-//! **Fast tier** ([`crate::mode`]). The `*_fma` kernels and the AVX-512
-//! 8×32 tile *do* contract with `vfmadd`, which changes low-order bits —
-//! they are reachable only through [`crate::fastpath`] when
-//! `LIGHTNAS_KERNEL_MODE=fast`, and are verified against the strict oracle
-//! by the differential tolerance suite instead of fingerprints.
+//! **Fast tier** ([`crate::mode`]). The `fma` stamps and the AVX-512 8×32
+//! tile *do* contract with `vfmadd`, which changes low-order bits — they
+//! are reachable only when `LIGHTNAS_KERNEL_MODE=fast`, through the fast
+//! tier's kernel choice ([`crate::fastpath`]), and are verified against the
+//! strict oracle by the differential tolerance suite instead of
+//! fingerprints.
 //!
 //! Because the compile baseline is SSE2 (no `-C target-cpu` anywhere in the
 //! workspace), AVX2/FMA/AVX-512F/F16C availability is detected at runtime
@@ -43,14 +53,16 @@ static SIMD_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 
 /// Whether the CPU has AVX2, the floor of every SIMD kernel.
 pub(crate) fn detect() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    cached_probe(&AVX2_STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
 }
 
 fn env_forces_portable() -> bool {
@@ -84,13 +96,16 @@ pub fn set_simd_enabled(on: bool) {
     SIMD_STATE.store(state, Ordering::Relaxed);
 }
 
-/// Cached CPU-feature probes for the fast tier. Unlike [`simd_enabled`]
-/// these are pure hardware facts — no env knob — so they never need a
-/// setter; `LIGHTNAS_KERNEL_SIMD=off` gates the *dispatch*, not these.
+/// Cached CPU-feature probes (the tile wrapper checks one per tile).
+/// Unlike [`simd_enabled`] these are pure hardware facts — no env knob — so
+/// they never need a setter; `LIGHTNAS_KERNEL_SIMD=off` gates the
+/// *dispatch*, not these.
+static AVX2_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static FMA_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static AVX512_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static F16C_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 
+#[inline]
 fn cached_probe(state: &AtomicU8, probe: fn() -> bool) -> bool {
     match state.load(Ordering::Relaxed) {
         ENABLED => true,
@@ -149,42 +164,135 @@ pub(crate) fn f16c_available() -> bool {
     })
 }
 
-/// AVX2 4×16 GEMM micro-tile over a packed B panel (two `f32x8` registers
-/// per output row — eight independent accumulator chains, enough to hide
-/// the vector-add latency a 4×8 tile cannot). Returns `false` when the SIMD
-/// path is off, in which case the caller must run the portable kernel.
+/// A GEMM micro-tile: output rows × packed panel width, instruction set and
+/// contraction. The tiling loop in [`crate::kernels`] runs every tile; each
+/// SIMD tile is one stamp of the body in [`gemm_tile!`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tile {
+    /// Strict portable 4×8, run by the caller: the only tile off x86-64.
+    Portable,
+    /// Strict AVX2 4×16: multiply, then add. Two `f32x8` registers per row
+    /// give eight independent accumulator chains, which hide the vector-add
+    /// latency one chain per row cannot; the width never touches an
+    /// element's accumulation order, so it stores the 4×8 tile's bits.
+    Avx2,
+    /// Fast AVX2+FMA 4×16.
+    Fma,
+    /// Fast AVX-512F 8×32 with FMA.
+    Avx512,
+}
+
+impl Tile {
+    /// Output rows per tile.
+    pub(crate) fn mr(self) -> usize {
+        if self == Tile::Avx512 {
+            8
+        } else {
+            4
+        }
+    }
+
+    /// Packed panel width: output columns per tile.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            Tile::Portable => 8,
+            Tile::Avx2 | Tile::Fma => 16,
+            Tile::Avx512 => 32,
+        }
+    }
+
+    /// Whether the tile contracts each multiply and add into one rounding,
+    /// which only the fast tier allows.
+    pub(crate) fn fused(self) -> bool {
+        matches!(self, Tile::Fma | Tile::Avx512)
+    }
+
+    /// Whether this CPU can run the tile.
+    #[inline]
+    pub(crate) fn available(self) -> bool {
+        match self {
+            Tile::Portable => true,
+            Tile::Avx2 => detect(),
+            Tile::Fma => fma_available(),
+            Tile::Avx512 => avx512_available(),
+        }
+    }
+}
+
+/// The signature every [`gemm_tile!`] stamp shares.
+#[cfg(target_arch = "x86_64")]
+type TileBody = unsafe fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize, usize, usize);
+
+/// One `tile.mr() × tile.width()` GEMM micro-tile over a packed B panel of
+/// `k_len` rows: LHS rows start at `a_base`, `a_stride` apart, and the
+/// output tile starts at row `r`, column `j0` of a row-major output with row
+/// stride `n`. Returns `false` for [`Tile::Portable`], which the caller runs
+/// itself.
+///
+/// # Panics
+///
+/// Panics if the panel, the LHS rows or the output tile reach past their
+/// slices, or if the CPU lacks the tile's instruction set.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn tile_4x16(
-    use_simd: bool,
+#[inline(always)]
+pub(crate) fn tile(
+    tile: Tile,
     a: &[f32],
     a_base: usize,
-    k: usize,
+    a_stride: usize,
+    k_len: usize,
     panel: &[f32],
     out: &mut [f32],
     r: usize,
     n: usize,
     j0: usize,
 ) -> bool {
+    let (mr, width) = (tile.mr(), tile.width());
+    assert!(panel.len() >= k_len * width, "panel must hold k rows");
+    assert!(
+        a.len() >= a_base + (mr - 1) * a_stride + k_len,
+        "lhs rows out of bounds"
+    );
+    assert!(
+        out.len() >= (r + mr - 1) * n + j0 + width,
+        "output tile out of bounds"
+    );
+    assert!(
+        tile.available(),
+        "{tile:?} tile without its instruction set"
+    );
     #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        debug_assert!(panel.len() >= k * 16, "panel must hold k rows of 16");
-        debug_assert!(a.len() >= a_base + 4 * k, "lhs rows out of bounds");
-        debug_assert!(out.len() >= (r + 3) * n + j0 + 16, "output tile oob");
-        // SAFETY: AVX2 availability is established by `use_simd` (set only
-        // after `detect()`), and the bounds above cover every access.
-        unsafe { avx2::micro_tile_4x16(a, a_base, k, panel, out, r, n, j0) };
-        return true;
+    {
+        let body: TileBody = match tile {
+            Tile::Portable => return false,
+            Tile::Avx2 => avx2::tile,
+            Tile::Fma => fma::tile,
+            Tile::Avx512 => avx512::tile,
+        };
+        // SAFETY: the asserts above establish the tile's instruction set and
+        // cover every panel, LHS and output access the stamp makes.
+        unsafe { body(a, a_base, a_stride, k_len, panel, out, r, n, j0) };
+        true
     }
-    let _ = (use_simd, a, a_base, k, panel, out, r, n, j0);
-    false
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (a, a_base, a_stride, k_len, panel, out, r, n, j0);
+        false
+    }
 }
 
-/// AVX2 Adam update over the 8-lane-aligned prefix of the slices. Returns
-/// `false` when the SIMD path is off (caller runs the scalar loop over the
-/// whole range); on `true` the caller handles the `len % 8` tail.
+/// Adam update over the 8-lane-aligned prefix of the slices: AVX2 lanes
+/// with every multiply and add rounded apart, or with `fused` set (fast
+/// tier only) AVX2+FMA lanes that contract them. Returns `false` when the
+/// SIMD path is off (caller runs the scalar loop over the whole range); on
+/// `true` the caller handles the `len % 8` tail.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
 pub(crate) fn adam_rows(
     use_simd: bool,
+    fused: bool,
     w: &mut [f32],
     g: &[f32],
     m: &mut [f32],
@@ -193,12 +301,25 @@ pub(crate) fn adam_rows(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        // SAFETY: AVX2 availability is established by `use_simd`; the
-        // caller asserts equal slice lengths.
-        unsafe { avx2::adam_rows(w, g, m, v, h) };
+        let len = w.len();
+        assert!(
+            g.len() == len && m.len() == len && v.len() == len,
+            "adam slices must match"
+        );
+        type AdamBody =
+            unsafe fn(&mut [f32], &[f32], &mut [f32], &mut [f32], &crate::kernels::AdamUpdate);
+        let body: AdamBody = if fused && fma_available() {
+            fma::adam_rows
+        } else {
+            avx2::adam_rows
+        };
+        // SAFETY: AVX2 availability is established by `use_simd` (set only
+        // after `detect()`), FMA by the probe above; the slice lengths were
+        // asserted equal.
+        unsafe { body(w, g, m, v, h) };
         return true;
     }
-    let _ = (use_simd, w, g, m, v, h);
+    let _ = (use_simd, fused, w, g, m, v, h);
     false
 }
 
@@ -244,19 +365,31 @@ pub(crate) fn transpose(use_simd: bool, src: &[f32], m: usize, n: usize, dst: &m
     false
 }
 
-/// AVX2 `o[j] += av * b[j]` row update (the axpy GEMM inner loop). Returns
-/// `false` when the SIMD path is off; the caller runs the scalar loop.
+/// `o[j] += av * b[j]` row update (the axpy GEMM inner loop): AVX2 lanes
+/// that round the multiply and the add apart, or with `fused` set (fast
+/// tier only) AVX2+FMA lanes that contract them. Returns `false` when the
+/// SIMD path is off; the caller runs the scalar loop.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
 #[inline]
-pub(crate) fn axpy_row(use_simd: bool, o: &mut [f32], b: &[f32], av: f32) -> bool {
+pub(crate) fn axpy_row(use_simd: bool, fused: bool, o: &mut [f32], b: &[f32], av: f32) -> bool {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        debug_assert_eq!(o.len(), b.len(), "axpy rows must match");
-        // SAFETY: AVX2 availability is established by `use_simd`; lengths
-        // are equal so every lane load/store is in bounds.
-        unsafe { avx2::axpy_row(o, b, av) };
+        assert_eq!(o.len(), b.len(), "axpy rows must match");
+        let body: unsafe fn(&mut [f32], &[f32], f32) = if fused && fma_available() {
+            fma::axpy_row
+        } else {
+            avx2::axpy_row
+        };
+        // SAFETY: AVX2 availability is established by `use_simd` (set only
+        // after `detect()`), FMA by the probe above; the lengths are equal,
+        // so every lane load and store is in bounds.
+        unsafe { body(o, b, av) };
         return true;
     }
-    let _ = (use_simd, o, b, av);
+    let _ = (use_simd, fused, o, b, av);
     false
 }
 
@@ -305,232 +438,109 @@ pub(crate) fn sparse_rows(
     false
 }
 
-/// Fast-tier FMA 4×16 GEMM micro-tile over a packed B panel. Like
-/// [`tile_4x16`] but contracted with `vfmadd231ps` and generalized with an
-/// explicit LHS row stride so the caller can feed a `k`-subrange (the
-/// per-thread partial-sum split). **Changes low-order bits vs strict** —
-/// callable only from [`crate::fastpath`].
-///
-/// # Panics (debug)
-///
-/// Debug-asserts panel/LHS/output bounds.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn tile_4x16_fma(
-    a: &[f32],
-    a_base: usize,
-    a_stride: usize,
-    k_len: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    r: usize,
-    n: usize,
-    j0: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        debug_assert!(fma_available(), "fast tile dispatched without FMA");
-        debug_assert!(panel.len() >= k_len * 16, "panel must hold k rows of 16");
-        debug_assert!(
-            a.len() >= a_base + 3 * a_stride + k_len,
-            "lhs rows out of bounds"
-        );
-        debug_assert!(out.len() >= (r + 3) * n + j0 + 16, "output tile oob");
-        // SAFETY: the dispatcher only reaches this wrapper when
-        // `fma_available()`; the bounds above cover every access.
-        unsafe { fma::micro_tile_4x16_fma(a, a_base, a_stride, k_len, panel, out, r, n, j0) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, a_base, a_stride, k_len, panel, out, r, n, j0);
-        unreachable!("fast tile dispatched on non-x86_64");
-    }
-}
-
-/// Fast-tier AVX-512F 8×32 GEMM micro-tile (16 zmm accumulators) over a
-/// packed B panel of width 32. FMA-contracted; fast tier only.
-///
-/// # Panics (debug)
-///
-/// Debug-asserts panel/LHS/output bounds.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn tile_8x32_avx512(
-    a: &[f32],
-    a_base: usize,
-    a_stride: usize,
-    k_len: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    r: usize,
-    n: usize,
-    j0: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        debug_assert!(
-            avx512_available(),
-            "AVX-512 tile dispatched without avx512f"
-        );
-        debug_assert!(panel.len() >= k_len * 32, "panel must hold k rows of 32");
-        debug_assert!(
-            a.len() >= a_base + 7 * a_stride + k_len,
-            "lhs rows out of bounds"
-        );
-        debug_assert!(out.len() >= (r + 7) * n + j0 + 32, "output tile oob");
-        // SAFETY: dispatch requires `avx512_available()`; bounds above.
-        unsafe { avx512::micro_tile_8x32(a, a_base, a_stride, k_len, panel, out, r, n, j0) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, a_base, a_stride, k_len, panel, out, r, n, j0);
-        unreachable!("fast tile dispatched on non-x86_64");
-    }
-}
-
-/// Fast-tier FMA `o[j] += av * b[j]` row update. Returns `false` when the
-/// fast path cannot run (caller falls back to the strict row update).
-#[inline]
-pub(crate) fn axpy_row_fma(o: &mut [f32], b: &[f32], av: f32) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        debug_assert_eq!(o.len(), b.len(), "axpy rows must match");
-        // SAFETY: FMA availability just checked; lengths are equal.
-        unsafe { fma::axpy_row_fma(o, b, av) };
-        return true;
-    }
-    let _ = (o, b, av);
-    false
-}
-
-/// Fast-tier FMA Adam update over the 8-aligned prefix. Returns `false`
-/// when the fast path cannot run; on `true` the caller handles the tail.
-pub(crate) fn adam_rows_fma(
-    w: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    h: &crate::kernels::AdamUpdate,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: FMA availability just checked; the caller asserts equal
-        // slice lengths.
-        unsafe { fma::adam_rows_fma(w, g, m, v, h) };
-        return true;
-    }
-    let _ = (w, g, m, v, h);
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-mod fma {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps,
+/// Stamps the GEMM micro-tile body, `tile`, for one instruction set
+/// (`$feature`) and contraction (`$madd`): `$mr` output rows × two
+/// `$lanes`-wide registers per row, one accumulator per output element fed
+/// `madd(acc, a[i][p], b[p][j])` in ascending `p`. With the strict `madd`
+/// (multiply, then add) every live lane runs the scalar reference's chain.
+macro_rules! gemm_tile {
+    ($feature:literal, $mr:literal, $lanes:literal, $zero:ident, $load:ident, $splat:ident, $store:ident) => {
+        /// The GEMM micro-tile (see [`super::tile`]) for this module's
+        /// instruction set and contraction.
+        ///
+        /// # Safety
+        ///
+        /// The instruction set named in `target_feature` must be available;
+        /// `panel` must hold `k_len` rows of two registers; `a` must cover
+        /// `a_base + row·a_stride + p` for every tile row and `p < k_len`;
+        /// `out` must cover the tile at `(r, j0)` with row stride `n`.
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $feature)]
+        pub unsafe fn tile(
+            a: &[f32],
+            a_base: usize,
+            a_stride: usize,
+            k_len: usize,
+            panel: &[f32],
+            out: &mut [f32],
+            r: usize,
+            n: usize,
+            j0: usize,
+        ) {
+            let mut acc = [[$zero(); 2]; $mr];
+            let (ap, pp) = (a.as_ptr(), panel.as_ptr());
+            for p in 0..k_len {
+                let lo = $load(pp.add(2 * p * $lanes));
+                let hi = $load(pp.add((2 * p + 1) * $lanes));
+                for (row, acc) in acc.iter_mut().enumerate() {
+                    let x = $splat(*ap.add(a_base + row * a_stride + p));
+                    acc[0] = madd(acc[0], x, lo);
+                    acc[1] = madd(acc[1], x, hi);
+                }
+            }
+            let op = out.as_mut_ptr();
+            for (row, acc) in acc.iter().enumerate() {
+                $store(op.add((r + row) * n + j0), acc[0]);
+                $store(op.add((r + row) * n + j0 + $lanes), acc[1]);
+            }
+        }
     };
+}
 
-    /// The strict 4×16 tile with `vfmadd` contraction and an explicit LHS
-    /// row stride (`a_stride`), so a caller can run it over a `k`-subrange
-    /// of a wider matrix for per-thread partial sums.
-    ///
-    /// # Safety
-    ///
-    /// AVX2+FMA must be available; `panel` must hold `k_len` rows of 16;
-    /// `a` must cover `a_base + r·a_stride + p` for `r < 4`, `p < k_len`;
-    /// `out` must cover the 4×16 tile at `(r, j0)` with row stride `n`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn micro_tile_4x16_fma(
-        a: &[f32],
-        a_base: usize,
-        a_stride: usize,
-        k_len: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        r: usize,
-        n: usize,
-        j0: usize,
-    ) {
-        let mut acc0l = _mm256_setzero_ps();
-        let mut acc0h = _mm256_setzero_ps();
-        let mut acc1l = _mm256_setzero_ps();
-        let mut acc1h = _mm256_setzero_ps();
-        let mut acc2l = _mm256_setzero_ps();
-        let mut acc2h = _mm256_setzero_ps();
-        let mut acc3l = _mm256_setzero_ps();
-        let mut acc3h = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for p in 0..k_len {
-            let bl = _mm256_loadu_ps(pp.add(p * 16));
-            let bh = _mm256_loadu_ps(pp.add(p * 16 + 8));
-            let a0 = _mm256_set1_ps(*ap.add(a_base + p));
-            let a1 = _mm256_set1_ps(*ap.add(a_base + a_stride + p));
-            let a2 = _mm256_set1_ps(*ap.add(a_base + 2 * a_stride + p));
-            let a3 = _mm256_set1_ps(*ap.add(a_base + 3 * a_stride + p));
-            acc0l = _mm256_fmadd_ps(a0, bl, acc0l);
-            acc0h = _mm256_fmadd_ps(a0, bh, acc0h);
-            acc1l = _mm256_fmadd_ps(a1, bl, acc1l);
-            acc1h = _mm256_fmadd_ps(a1, bh, acc1h);
-            acc2l = _mm256_fmadd_ps(a2, bl, acc2l);
-            acc2h = _mm256_fmadd_ps(a2, bh, acc2h);
-            acc3l = _mm256_fmadd_ps(a3, bl, acc3l);
-            acc3h = _mm256_fmadd_ps(a3, bh, acc3h);
+/// Stamps `axpy_row`, `o[j] = madd(o[j], av, b[j])`, for one contraction
+/// on AVX2 lanes: eight lanes at a time, then a scalar tail rounded the
+/// same way (`$madd1`).
+macro_rules! axpy_row {
+    ($feature:literal, $madd1:expr) => {
+        /// The axpy row update (see [`super::axpy_row`]) for this module's
+        /// contraction.
+        ///
+        /// # Safety
+        ///
+        /// The instruction set named in `target_feature` must be available
+        /// and `o.len() == b.len()`.
+        #[target_feature(enable = $feature)]
+        pub unsafe fn axpy_row(o: &mut [f32], b: &[f32], av: f32) {
+            let madd1: fn(f32, f32, f32) -> f32 = $madd1;
+            let n = o.len();
+            let va = _mm256_set1_ps(av);
+            let (op, bp) = (o.as_mut_ptr(), b.as_ptr());
+            let mut j = 0;
+            while j + 8 <= n {
+                let cur = _mm256_loadu_ps(op.add(j));
+                _mm256_storeu_ps(op.add(j), madd(cur, va, _mm256_loadu_ps(bp.add(j))));
+                j += 8;
+            }
+            while j < n {
+                *op.add(j) = madd1(*op.add(j), av, *bp.add(j));
+                j += 1;
+            }
         }
-        let op = out.as_mut_ptr();
-        _mm256_storeu_ps(op.add(r * n + j0), acc0l);
-        _mm256_storeu_ps(op.add(r * n + j0 + 8), acc0h);
-        _mm256_storeu_ps(op.add((r + 1) * n + j0), acc1l);
-        _mm256_storeu_ps(op.add((r + 1) * n + j0 + 8), acc1h);
-        _mm256_storeu_ps(op.add((r + 2) * n + j0), acc2l);
-        _mm256_storeu_ps(op.add((r + 2) * n + j0 + 8), acc2h);
-        _mm256_storeu_ps(op.add((r + 3) * n + j0), acc3l);
-        _mm256_storeu_ps(op.add((r + 3) * n + j0 + 8), acc3h);
-    }
+    };
+}
 
-    /// `o[j] += av * b[j]` with `vfmadd`, eight lanes at a time plus a
-    /// scalar `mul_add` tail (also contracted).
-    ///
-    /// # Safety
-    ///
-    /// AVX2+FMA must be available and `o.len() == b.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_row_fma(o: &mut [f32], b: &[f32], av: f32) {
-        let n = o.len();
-        let va = _mm256_set1_ps(av);
-        let op = o.as_mut_ptr();
-        let bp = b.as_ptr();
-        let mut j = 0;
-        while j + 8 <= n {
-            let cur = _mm256_loadu_ps(op.add(j));
-            let bv = _mm256_loadu_ps(bp.add(j));
-            _mm256_storeu_ps(op.add(j), _mm256_fmadd_ps(va, bv, cur));
-            j += 8;
-        }
-        while j < n {
-            *op.add(j) = av.mul_add(*bp.add(j), *op.add(j));
-            j += 1;
-        }
-    }
-
-    /// Vectorized Adam with FMA contraction of the moment updates, the
-    /// optional weight-decay term and the final step. Low-order bits differ
-    /// from the strict [`super::avx2::adam_rows`]; the trajectory bound is
-    /// property-tested in the tolerance suite.
-    ///
-    /// # Safety
-    ///
-    /// AVX2+FMA must be available and all four slices must share one length.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn adam_rows_fma(
-        w: &mut [f32],
-        g: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        h: &crate::kernels::AdamUpdate,
-    ) {
-        unsafe {
+/// Stamps `adam_rows` for one contraction on AVX2 lanes. Every `madd` of
+/// the strict stamp is the scalar update's multiply-then-add (addition
+/// commutes, so adding the decayed moment second moves no bit); the vector
+/// `sqrt` and `div` are correctly rounded per lane like the scalar ones, so
+/// that stamp stores the scalar loop's bits.
+macro_rules! adam_rows {
+    ($feature:literal) => {
+        /// Adam over the 8-aligned prefix (see [`super::adam_rows`]) for
+        /// this module's contraction; the caller finishes the tail.
+        ///
+        /// # Safety
+        ///
+        /// The instruction set named in `target_feature` must be available
+        /// and all four slices must share one length.
+        #[target_feature(enable = $feature)]
+        pub unsafe fn adam_rows(
+            w: &mut [f32],
+            g: &[f32],
+            m: &mut [f32],
+            v: &mut [f32],
+            h: &crate::kernels::AdamUpdate,
+        ) {
             let (vb1, vb2) = (_mm256_set1_ps(h.beta1), _mm256_set1_ps(h.beta2));
             let (vc1, vc2) = (_mm256_set1_ps(1.0 - h.beta1), _mm256_set1_ps(1.0 - h.beta2));
             let (vs1, vs2) = (_mm256_set1_ps(h.s1), _mm256_set1_ps(h.s2));
@@ -544,74 +554,80 @@ mod fma {
             while i + 8 <= w.len() {
                 let wv = _mm256_loadu_ps(wp.add(i));
                 let gv = _mm256_loadu_ps(gp.add(i));
-                let gd = if wd { _mm256_fmadd_ps(wv, vwd, gv) } else { gv };
-                let mv = _mm256_fmadd_ps(_mm256_loadu_ps(mp.add(i)), vb1, _mm256_mul_ps(gd, vc1));
-                let vv = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(vp.add(i)),
-                    vb2,
-                    _mm256_mul_ps(_mm256_mul_ps(gd, gd), vc2),
-                );
+                let gd = if wd { madd(gv, wv, vwd) } else { gv };
+                let mv = madd(_mm256_mul_ps(gd, vc1), _mm256_loadu_ps(mp.add(i)), vb1);
+                let gd2 = _mm256_mul_ps(_mm256_mul_ps(gd, gd), vc2);
+                let vv = madd(gd2, _mm256_loadu_ps(vp.add(i)), vb2);
                 _mm256_storeu_ps(mp.add(i), mv);
                 _mm256_storeu_ps(vp.add(i), vv);
                 let m_hat = _mm256_mul_ps(mv, vs1);
                 let v_hat = _mm256_mul_ps(vv, vs2);
                 let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps);
                 let step = _mm256_div_ps(m_hat, denom);
-                _mm256_storeu_ps(wp.add(i), _mm256_fmadd_ps(step, vnlr, wv));
+                _mm256_storeu_ps(wp.add(i), madd(wv, step, vnlr));
                 i += 8;
             }
         }
+    };
+}
+
+/// Fast-tier stamps: every `madd` contracts into one `vfmadd` rounding,
+/// which changes low-order bits against the strict tier.
+#[cfg(target_arch = "x86_64")]
+mod fma {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps,
+    };
+
+    gemm_tile!(
+        "avx2,fma",
+        4,
+        8,
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_set1_ps,
+        _mm256_storeu_ps
+    );
+    axpy_row!("avx2,fma", |acc, x, y| x.mul_add(y, acc));
+    adam_rows!("avx2,fma");
+
+    /// `acc + x·y` with one rounding.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn madd(acc: __m256, x: __m256, y: __m256) -> __m256 {
+        _mm256_fmadd_ps(x, y, acc)
     }
 }
 
+/// The fast tier's AVX-512F 8×32 tile: sixteen `zmm` accumulators, two per
+/// output row, contracted with `vfmadd`.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::{
-        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
     };
 
-    /// The 8×32 AVX-512 micro-tile: sixteen `zmm` accumulators, two per
-    /// output row. Measured ~2.5× the strict AVX2 4×16 tile on this class
-    /// of hardware (wider registers + FMA + deeper ILP); fast tier only.
-    ///
-    /// # Safety
-    ///
-    /// AVX-512F must be available; `panel` must hold `k_len` rows of 32;
-    /// `a` must cover `a_base + r·a_stride + p` for `r < 8`, `p < k_len`;
-    /// `out` must cover the 8×32 tile at `(r, j0)` with row stride `n`.
-    #[allow(clippy::too_many_arguments)]
+    gemm_tile!(
+        "avx512f",
+        8,
+        16,
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_set1_ps,
+        _mm512_storeu_ps
+    );
+
+    /// `acc + x·y` with one rounding.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn micro_tile_8x32(
-        a: &[f32],
-        a_base: usize,
-        a_stride: usize,
-        k_len: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        r: usize,
-        n: usize,
-        j0: usize,
-    ) {
-        let mut acc = [_mm512_setzero_ps(); 16];
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for p in 0..k_len {
-            let bl = _mm512_loadu_ps(pp.add(p * 32));
-            let bh = _mm512_loadu_ps(pp.add(p * 32 + 16));
-            for row in 0..8 {
-                let av = _mm512_set1_ps(*ap.add(a_base + row * a_stride + p));
-                acc[2 * row] = _mm512_fmadd_ps(av, bl, acc[2 * row]);
-                acc[2 * row + 1] = _mm512_fmadd_ps(av, bh, acc[2 * row + 1]);
-            }
-        }
-        let op = out.as_mut_ptr();
-        for row in 0..8 {
-            _mm512_storeu_ps(op.add((r + row) * n + j0), acc[2 * row]);
-            _mm512_storeu_ps(op.add((r + row) * n + j0 + 16), acc[2 * row + 1]);
-        }
+    fn madd(acc: __m512, x: __m512, y: __m512) -> __m512 {
+        _mm512_fmadd_ps(x, y, acc)
     }
 }
 
+/// Strict stamps and kernels: every multiply and add rounds on its own.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
@@ -621,120 +637,17 @@ mod avx2 {
         _mm256_sqrt_ps, _mm256_storeu_ps, _CMP_NEQ_UQ,
     };
 
-    /// Vectorized Adam over the 8-aligned prefix; the caller finishes the
-    /// tail with the scalar loop. `vmulps`/`vaddps`/`vsqrtps`/`vdivps` are
-    /// all IEEE-754 correctly rounded per lane, and the operation sequence
-    /// mirrors the scalar update exactly, so the bits match it.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and all four slices must share one length.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn adam_rows(
-        w: &mut [f32],
-        g: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        h: &crate::kernels::AdamUpdate,
-    ) {
-        unsafe {
-            let (vb1, vb2) = (_mm256_set1_ps(h.beta1), _mm256_set1_ps(h.beta2));
-            let (vc1, vc2) = (_mm256_set1_ps(1.0 - h.beta1), _mm256_set1_ps(1.0 - h.beta2));
-            let (vs1, vs2) = (_mm256_set1_ps(h.s1), _mm256_set1_ps(h.s2));
-            let veps = _mm256_set1_ps(h.eps);
-            let vnlr = _mm256_set1_ps(-h.lr);
-            let vwd = _mm256_set1_ps(h.weight_decay);
-            let wd = h.weight_decay != 0.0;
-            let (wp, gp) = (w.as_mut_ptr(), g.as_ptr());
-            let (mp, vp) = (m.as_mut_ptr(), v.as_mut_ptr());
-            let mut i = 0;
-            while i + 8 <= w.len() {
-                let wv = _mm256_loadu_ps(wp.add(i));
-                let gv = _mm256_loadu_ps(gp.add(i));
-                let gd = if wd {
-                    _mm256_add_ps(gv, _mm256_mul_ps(wv, vwd))
-                } else {
-                    gv
-                };
-                let mv = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_loadu_ps(mp.add(i)), vb1),
-                    _mm256_mul_ps(gd, vc1),
-                );
-                let vv = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_loadu_ps(vp.add(i)), vb2),
-                    _mm256_mul_ps(_mm256_mul_ps(gd, gd), vc2),
-                );
-                _mm256_storeu_ps(mp.add(i), mv);
-                _mm256_storeu_ps(vp.add(i), vv);
-                let m_hat = _mm256_mul_ps(mv, vs1);
-                let v_hat = _mm256_mul_ps(vv, vs2);
-                let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps);
-                let step = _mm256_mul_ps(_mm256_div_ps(m_hat, denom), vnlr);
-                _mm256_storeu_ps(wp.add(i), _mm256_add_ps(wv, step));
-                i += 8;
-            }
-        }
-    }
-
-    /// The 4×16 micro-tile: eight `__m256` accumulators, two per output row.
-    /// The doubled width buys instruction-level parallelism only — each
-    /// lane still owns one accumulator consuming its terms in ascending
-    /// `p` with separate mul and add roundings, so the stored bits match
-    /// the 4×8 tile and the portable path exactly.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available; `panel` must hold `k` rows of 16; `a` must
-    /// cover rows `a_base .. a_base + 4k`; `out` must cover the 4×16 tile at
-    /// `(r, j0)` with row stride `n`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn micro_tile_4x16(
-        a: &[f32],
-        a_base: usize,
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        r: usize,
-        n: usize,
-        j0: usize,
-    ) {
-        let mut acc0l = _mm256_setzero_ps();
-        let mut acc0h = _mm256_setzero_ps();
-        let mut acc1l = _mm256_setzero_ps();
-        let mut acc1h = _mm256_setzero_ps();
-        let mut acc2l = _mm256_setzero_ps();
-        let mut acc2h = _mm256_setzero_ps();
-        let mut acc3l = _mm256_setzero_ps();
-        let mut acc3h = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let pp = panel.as_ptr();
-        for p in 0..k {
-            let bl = _mm256_loadu_ps(pp.add(p * 16));
-            let bh = _mm256_loadu_ps(pp.add(p * 16 + 8));
-            let a0 = _mm256_set1_ps(*ap.add(a_base + p));
-            let a1 = _mm256_set1_ps(*ap.add(a_base + k + p));
-            let a2 = _mm256_set1_ps(*ap.add(a_base + 2 * k + p));
-            let a3 = _mm256_set1_ps(*ap.add(a_base + 3 * k + p));
-            acc0l = madd(acc0l, a0, bl);
-            acc0h = madd(acc0h, a0, bh);
-            acc1l = madd(acc1l, a1, bl);
-            acc1h = madd(acc1h, a1, bh);
-            acc2l = madd(acc2l, a2, bl);
-            acc2h = madd(acc2h, a2, bh);
-            acc3l = madd(acc3l, a3, bl);
-            acc3h = madd(acc3h, a3, bh);
-        }
-        let op = out.as_mut_ptr();
-        _mm256_storeu_ps(op.add(r * n + j0), acc0l);
-        _mm256_storeu_ps(op.add(r * n + j0 + 8), acc0h);
-        _mm256_storeu_ps(op.add((r + 1) * n + j0), acc1l);
-        _mm256_storeu_ps(op.add((r + 1) * n + j0 + 8), acc1h);
-        _mm256_storeu_ps(op.add((r + 2) * n + j0), acc2l);
-        _mm256_storeu_ps(op.add((r + 2) * n + j0 + 8), acc2h);
-        _mm256_storeu_ps(op.add((r + 3) * n + j0), acc3l);
-        _mm256_storeu_ps(op.add((r + 3) * n + j0 + 8), acc3h);
-    }
+    gemm_tile!(
+        "avx2",
+        4,
+        8,
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_set1_ps,
+        _mm256_storeu_ps
+    );
+    axpy_row!("avx2", |acc, x, y| acc + x * y);
+    adam_rows!("avx2");
 
     /// Strict sparse rows (see [`super::sparse_rows`]): per output row,
     /// columns in blocks of 64, 32, 16 and 8 held in `ymm` accumulators,
@@ -844,14 +757,6 @@ mod avx2 {
         bits
     }
 
-    /// Separately rounded multiply-then-add; never an FMA contraction
-    /// (intrinsics are not subject to `fast-math`-style fusion).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd(acc: __m256, a: __m256, b: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-    }
-
     /// In-register 8×8 transpose: loads eight rows of `src` (row stride
     /// `n`), runs the unpack/shuffle/permute network, stores eight rows of
     /// `dst` (row stride `m`). Pure data movement — bit-identical to the
@@ -901,29 +806,12 @@ mod avx2 {
         _mm256_storeu_ps(dst.add(7 * m), _mm256_permute2f128_ps(s3, s7, 0x31));
     }
 
-    /// `o[j] += av * b[j]`, eight lanes at a time with a scalar tail. Lane
-    /// and tail both round multiply-then-add, matching the scalar loop.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available and `o.len() == b.len()`.
+    /// `acc + x·y` rounded twice: multiply, then add. Never an FMA
+    /// contraction (intrinsics are not subject to `fast-math`-style fusion).
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_row(o: &mut [f32], b: &[f32], av: f32) {
-        let n = o.len();
-        let va = _mm256_set1_ps(av);
-        let op = o.as_mut_ptr();
-        let bp = b.as_ptr();
-        let mut j = 0;
-        while j + 8 <= n {
-            let cur = _mm256_loadu_ps(op.add(j));
-            let bv = _mm256_loadu_ps(bp.add(j));
-            _mm256_storeu_ps(op.add(j), _mm256_add_ps(cur, _mm256_mul_ps(va, bv)));
-            j += 8;
-        }
-        while j < n {
-            *op.add(j) += av * *bp.add(j);
-            j += 1;
-        }
+    fn madd(acc: __m256, x: __m256, y: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(x, y))
     }
 }
 
@@ -1005,6 +893,113 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Which operand [`run`] makes one row, or one element, too short.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Short {
+        Nothing,
+        Panel,
+        Lhs,
+        Output,
+    }
+
+    /// Runs `t` at output row 1, column 3 of an output with row stride
+    /// `width + 5`, over LHS rows `k + 2` apart from offset 2. Every operand
+    /// is exactly as long as the call needs, unless `short` takes one panel
+    /// row, one LHS row or one output element off. Returns the output and
+    /// the scalar chains it must store: multiply-then-add for a strict tile,
+    /// one `mul_add` rounding per term for a fused one.
+    fn run(t: Tile, short: Short) -> (Vec<f32>, Vec<f32>) {
+        let (mr, width, k) = (t.mr(), t.width(), 37);
+        let (a_base, stride, r, j0, n) = (2, k + 2, 1, 3, t.width() + 5);
+        let value = |i: usize| ((i * 7919 % 257) as f32 - 128.0) / 64.0;
+        let less = |s: Short, by: usize| if short == s { by } else { 0 };
+        let a: Vec<f32> = (0..a_base + (mr - 1) * stride + k - less(Short::Lhs, stride))
+            .map(value)
+            .collect();
+        let panel: Vec<f32> = (0..(k - less(Short::Panel, 1)) * width)
+            .map(|i| value(i + 1000))
+            .collect();
+        let mut out = vec![f32::NAN; (r + mr - 1) * n + j0 + width - less(Short::Output, 1)];
+        let mut want = out.clone();
+        assert!(tile(t, &a, a_base, stride, k, &panel, &mut out, r, n, j0));
+        for row in 0..mr {
+            for c in 0..width {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    let (x, y) = (a[a_base + row * stride + p], panel[p * width + c]);
+                    acc = if t.fused() {
+                        x.mul_add(y, acc)
+                    } else {
+                        acc + x * y
+                    };
+                }
+                want[(r + row) * n + j0 + c] = acc;
+            }
+        }
+        (out, want)
+    }
+
+    #[test]
+    fn tiles_in_bounds_store_their_chains_bits() {
+        for t in [Tile::Avx2, Tile::Fma, Tile::Avx512] {
+            if t.available() {
+                let (got, want) = run(t, Short::Nothing);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{t:?} at {i}");
+                }
+            }
+        }
+    }
+
+    /// One `#[should_panic]` test per SIMD tile and short operand. The
+    /// wrapper checks bounds before the instruction set, so each holds on
+    /// every CPU, and no stamp runs.
+    macro_rules! bounds_tests {
+        ($($name:ident: $tile:ident, $short:ident, $msg:literal;)*) => {$(
+            #[test]
+            #[should_panic(expected = $msg)]
+            fn $name() {
+                run(Tile::$tile, Short::$short);
+            }
+        )*};
+    }
+
+    bounds_tests! {
+        avx2_tile_rejects_a_panel_one_row_short: Avx2, Panel, "panel";
+        avx2_tile_rejects_an_lhs_one_row_short: Avx2, Lhs, "lhs";
+        avx2_tile_rejects_an_output_past_the_end: Avx2, Output, "output";
+        fma_tile_rejects_a_panel_one_row_short: Fma, Panel, "panel";
+        fma_tile_rejects_an_lhs_one_row_short: Fma, Lhs, "lhs";
+        fma_tile_rejects_an_output_past_the_end: Fma, Output, "output";
+        avx512_tile_rejects_a_panel_one_row_short: Avx512, Panel, "panel";
+        avx512_tile_rejects_an_lhs_one_row_short: Avx512, Lhs, "lhs";
+        avx512_tile_rejects_an_output_past_the_end: Avx512, Output, "output";
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "axpy rows must match")]
+    fn axpy_row_rejects_rows_of_unequal_length() {
+        axpy_row(true, false, &mut [0.0; 9], &[1.0; 8], 2.0);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "adam slices must match")]
+    fn adam_rows_reject_slices_of_unequal_length() {
+        let h = crate::kernels::AdamUpdate {
+            weight_decay: 0.0,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            lr: 1e-3,
+            s1: 10.0,
+            s2: 1000.0,
+        };
+        let (mut w, mut m, mut v) = ([0.0; 9], [0.0; 8], [0.0; 9]);
+        adam_rows(true, true, &mut w, &[0.0; 9], &mut m, &mut v, &h);
     }
 
     #[test]

@@ -642,8 +642,7 @@ pub(crate) fn dwconv2d_forward_into(
                         }
                         let wgt = k[(ch * kh + ky) * kw + kx];
                         let xs = &x[xrow + lo + kx - pad..xrow + hi + kx - pad];
-                        let done = (fast && crate::simd::axpy_row_fma(&mut orow[lo..hi], xs, wgt))
-                            || crate::simd::axpy_row(true, &mut orow[lo..hi], xs, wgt);
+                        let done = crate::simd::axpy_row(true, fast, &mut orow[lo..hi], xs, wgt);
                         if !done {
                             for (oo, &xv) in orow[lo..hi].iter_mut().zip(xs) {
                                 *oo += wgt * xv;
@@ -765,8 +764,7 @@ pub(crate) fn dwconv2d_backward_into(
                         let wgt = k[(ch * kh + ky) * kw + kx];
                         let gs = &go[grow + lo..grow + hi];
                         let dst = &mut gxp[xrow + lo + kx - pad..xrow + hi + kx - pad];
-                        let done = (fast && crate::simd::axpy_row_fma(dst, gs, wgt))
-                            || crate::simd::axpy_row(true, dst, gs, wgt);
+                        let done = crate::simd::axpy_row(true, fast, dst, gs, wgt);
                         if !done {
                             for (d, &gv) in dst.iter_mut().zip(gs) {
                                 *d += wgt * gv;

@@ -153,6 +153,49 @@ fn sparse_matmul_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn strict_products_store_reference_bits_at_every_thread_count() {
+    // One tiling loop runs both tiers, and only a fused (fast-tier) tile may
+    // split the reduction dimension. Every strict entry point must store the
+    // reference's bits at 1, 2 and 4 threads with SIMD on and off: on the
+    // fast tier's k-split shape (6 rows, depth 8192), on odd row counts whose
+    // last row block is short, and on 1- and 15-column outputs narrower
+    // than any panel, all above the parallel threshold.
+    let _guard = knob_lock().lock().unwrap();
+    let (threads_before, simd_before) = (kernels::num_threads(), lightnas_tensor::simd_enabled());
+    for (m, k, n) in [
+        (6, 8192, 48),
+        (255, 300, 33),
+        (4099, 512, 1),
+        (301, 480, 15),
+    ] {
+        assert!(m * k * n >= kernels::PAR_MIN_FLOPS);
+        let seed = (m * 31 + n) as u64;
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, seed);
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, seed + 1);
+        let (a_t, b_t) = (a.transpose(), b.transpose());
+        let want = fnv(kernels::matmul_ref(&a, &b).as_slice());
+        for simd in [true, false] {
+            lightnas_tensor::set_simd_enabled(simd);
+            for threads in [1, 2, 4] {
+                kernels::set_num_threads(threads);
+                let what = format!("{m}x{k}x{n} simd={simd} threads={threads}");
+                let mut out = vec![f32::NAN; m * n];
+                kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, n, &mut out);
+                assert_eq!(fnv(&out), want, "a·b {what}");
+                out.fill(f32::NAN);
+                kernels::matmul_nt_into(a.as_slice(), b_t.as_slice(), m, k, n, &mut out);
+                assert_eq!(fnv(&out), want, "a·bᵀ {what}");
+                out.fill(f32::NAN);
+                kernels::matmul_tn_into(a_t.as_slice(), b.as_slice(), k, m, n, &mut out);
+                assert_eq!(fnv(&out), want, "aᵀ·b {what}");
+            }
+        }
+    }
+    kernels::set_num_threads(threads_before);
+    lightnas_tensor::set_simd_enabled(simd_before);
+}
+
+#[test]
 fn conv_forward_and_backward_are_bit_identical_across_thread_counts() {
     let spec = Conv2dSpec {
         kernel: 3,

@@ -166,10 +166,10 @@ proptest! {
 
 /// A left operand at most a quarter nonzero adds the strict zero-skipping
 /// kernel to the fast tier's autotuned candidates. Whichever kernel wins a
-/// shape, `matmul_into` and `matmul_tn_into` stay within the depth bound at
-/// every thread count, on one-hot rows and on scattered nonzeros, over wide
-/// outputs (where the zero-skip wins) and 32-column ones (where the tiles
-/// do).
+/// shape, `matmul_into`, `matmul_tn_into` and `matmul_nt_into` stay within
+/// the depth bound at every thread count, on one-hot rows and on scattered
+/// nonzeros, over wide outputs (where the zero-skip wins) and 32-column
+/// ones (where the tiles do).
 #[test]
 fn sparse_lhs_fast_matmul_within_depth_bound() {
     let _lab = KnobLab::new();
@@ -223,6 +223,20 @@ fn sparse_lhs_fast_matmul_within_depth_bound() {
             );
             if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
                 panic!("sparse matmul_tn {k}x{m}x{n} t={threads}: {v}");
+            }
+            // The same product through `matmul_nt_into`, with b stored as
+            // bᵀ ([n, k]).
+            let b_t = b.transpose();
+            let (strict, fast, scale) = matmul_triple(
+                |a, b, out| kernels::matmul_nt_into(a, b, m, k, n, out),
+                &a,
+                b_t.as_slice(),
+                m * n,
+                threads,
+                None,
+            );
+            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
+                panic!("sparse matmul_nt {m}x{k}x{n} t={threads}: {v}");
             }
         }
     }
