@@ -194,18 +194,24 @@ impl Architecture {
         spec
     }
 
-    /// Parses the compact form produced by [`to_spec`](Self::to_spec).
+    /// Parses the compact form produced by [`to_spec`](Self::to_spec), and
+    /// only that form: a string it accepts is `to_spec()` of the result.
     ///
     /// # Errors
     ///
     /// Returns [`ParseSpecError`] on a wrong slot count, an operator digit
-    /// outside `0..7`, or a malformed/oversized SE suffix.
+    /// outside `0..7`, or a malformed/oversized SE suffix. The SE length
+    /// must be plain ASCII digits without a sign or a leading zero, as
+    /// `to_spec` writes it: `+se05` and `+se+5` are malformed.
     pub fn from_spec(spec: &str) -> Result<Self, ParseSpecError> {
         let (ops_part, se_tail) = match spec.split_once('+') {
             None => (spec, 0),
             Some((ops_part, suffix)) => {
                 let tail = suffix
                     .strip_prefix("se")
+                    .filter(|n| {
+                        n.bytes().all(|b| b.is_ascii_digit()) && (*n == "0" || !n.starts_with('0'))
+                    })
                     .and_then(|n| n.parse::<usize>().ok())
                     .ok_or_else(|| ParseSpecError::BadSeSuffix(suffix.to_string()))?;
                 if tail == 0 || tail > SEARCHABLE_LAYERS {
@@ -524,6 +530,14 @@ mod spec_tests {
             Architecture::from_spec(&format!("{ok_ops}+se22")),
             Err(ParseSpecError::SeTailOutOfRange(22))
         );
+        // `usize::from_str` takes a leading `+` and leading zeros; `to_spec`
+        // writes neither, so the spec parser takes neither.
+        for suffix in ["se+5", "se05"] {
+            assert_eq!(
+                Architecture::from_spec(&format!("{ok_ops}+{suffix}")),
+                Err(ParseSpecError::BadSeSuffix(suffix.into()))
+            );
+        }
     }
 }
 

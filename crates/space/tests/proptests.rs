@@ -105,6 +105,77 @@ proptest! {
     }
 }
 
+/// Characters a mutation writes: every character a spec holds, the signs
+/// and zeros `usize::from_str` accepts, other ASCII and multi-byte
+/// characters (an Arabic-Indic digit among them).
+const SPEC_CHARS: [char; 16] = [
+    '0', '1', '5', '6', '7', '9', '+', '-', 's', 'e', 'S', ' ', 'x', '\u{663}', 'é', '\0',
+];
+
+/// SE suffixes around a tail length `n`: the canonical form, then forms
+/// that a number parser would take or that are plainly malformed.
+fn suffix_form(form: usize, n: usize) -> String {
+    match form % 10 {
+        0 => format!("+se{n}"),
+        1 => format!("+se0{n}"),
+        2 => format!("+se+{n}"),
+        3 => format!("+se-{n}"),
+        4 => format!("+se {n}"),
+        5 => format!("+SE{n}"),
+        6 => format!("+se{n}+se{n}"),
+        7 => "+se".to_string(),
+        8 => format!("+se{n}000000000000000000000"),
+        _ => format!("++se{n}"),
+    }
+}
+
+/// Applies mutation `kind` to `spec` at character `at` with character or
+/// suffix form `pick` and tail length `n`: replace, insert or delete one
+/// character, truncate, or rewrite the SE suffix.
+fn mutate_spec(spec: &str, kind: u32, at: usize, pick: usize, n: usize) -> String {
+    let mut chars: Vec<char> = spec.chars().collect();
+    let i = at % (chars.len() + 1);
+    let c = SPEC_CHARS[pick % SPEC_CHARS.len()];
+    match kind {
+        0 if i < chars.len() => chars[i] = c,
+        0 | 1 => chars.insert(i, c),
+        2 => {
+            if i < chars.len() {
+                chars.remove(i);
+            }
+        }
+        3 => chars.truncate(i),
+        _ => {
+            let ops = chars.iter().take_while(|&&c| c != '+').count();
+            chars.truncate(ops);
+            chars.extend(suffix_form(pick, n).chars());
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12_000))]
+
+    #[test]
+    fn mutated_specs_parse_to_their_own_spec_or_fail(
+        ops in arb_ops(),
+        tail in 0usize..=SEARCHABLE_LAYERS,
+        kind in 0u32..5,
+        at in 0usize..40,
+        pick in 0usize..64,
+        n in 0usize..30,
+    ) {
+        let arch = Architecture::new(ops).with_se_tail(tail);
+        let spec = mutate_spec(&arch.to_spec(), kind, at, pick, n);
+        let parsed = std::panic::catch_unwind(|| Architecture::from_spec(&spec));
+        prop_assert!(parsed.is_ok(), "from_spec panicked on {:?}", spec);
+        if let Ok(Ok(parsed)) = parsed {
+            prop_assert_eq!(parsed.to_spec(), spec.clone(), "accepted a non-canonical spec {:?}", spec);
+        }
+    }
+}
+
 #[test]
 fn mobilenet_v2_flops_anchor() {
     // The canonical MobileNetV2 sits near 300-460M multi-adds depending on

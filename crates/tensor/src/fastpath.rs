@@ -19,9 +19,10 @@
 //!    error is bounded (and tested) rather than zero. Only a fused tile
 //!    takes that split.
 //! 3. **Per-shape kernel autotuning** — when a shape has more than one
-//!    candidate, the first call for a `(m, k, n)` runs each candidate once
-//!    back-to-back on the live operands, keeps the fastest, and caches the
-//!    choice for the process lifetime (bounded map, no eviction). The
+//!    candidate, the first call for a `(m, k, n)` runs each candidate twice
+//!    back-to-back on the live operands, an untimed warm-up and then a
+//!    timed call, keeps the fastest, and caches the choice for the process
+//!    lifetime (bounded map, no eviction). The
 //!    candidates are the tiles the CPU has and, when the left operand is
 //!    sparse enough for the strict tier's sparse dispatch, the strict
 //!    zero-skipping kernel ([`crate::kernels`]); sparse and dense operands
@@ -111,10 +112,12 @@ pub fn fast_tile_override() -> Option<FastTile> {
 
 /// Runs `run` with the kernel chosen for this shape: the pinned tile if
 /// usable, the cached autotune winner, or — on the first sight of a shape
-/// with more than one candidate — each candidate once, timed, caching the
-/// fastest (the output keeps the *last* candidate's bits; all satisfy the
-/// tolerance contract). `sparse` adds the zero-skipping kernel to the
-/// candidates.
+/// with more than one candidate — each candidate twice, caching the one
+/// whose second call was fastest (the output keeps the *last* candidate's
+/// bits; all satisfy the tolerance contract). The first call is an untimed
+/// warm-up: timed cold, whichever candidate runs first pays for the
+/// operands' and its code's first touch and loses to slower kernels.
+/// `sparse` adds the zero-skipping kernel to the candidates.
 pub(crate) fn with_tuned_kernel(
     m: usize,
     k: usize,
@@ -151,6 +154,7 @@ pub(crate) fn with_tuned_kernel(
     let mut best = candidates[0];
     let mut best_elapsed = None;
     for &t in &candidates {
+        run(t);
         let start = Instant::now();
         run(t);
         let elapsed = start.elapsed();
@@ -194,13 +198,32 @@ mod tests {
         }
         // A shape no other test uses, so its first sight tunes here.
         let (m, k, n) = (5, 3, 1_000_003);
+        // On first sight each candidate runs exactly twice, warm-up then
+        // timed, back to back; once cached, the winner runs once.
+        let tiles: Vec<Candidate> = [FastTile::Avx512f8x32, FastTile::Avx2Fma4x16]
+            .into_iter()
+            .filter(|&t| Tile::from(t).available())
+            .map(Candidate::Tile)
+            .collect();
+        let twice = |cs: &[Candidate]| cs.iter().flat_map(|&c| [c, c]).collect::<Vec<_>>();
         let mut ran = Vec::new();
         with_tuned_kernel(m, k, n, false, |c| ran.push(c));
-        assert!(!ran.contains(&Candidate::Sparse), "dense operand: {ran:?}");
+        if tiles.len() > 1 {
+            assert_eq!(ran, twice(&tiles), "dense operand");
+        } else {
+            assert_eq!(ran, tiles, "a lone candidate runs untimed");
+        }
+        ran.clear();
+        with_tuned_kernel(m, k, n, false, |c| ran.push(c));
+        assert_eq!(ran.len(), 1, "the dense class's winner is cached");
         ran.clear();
         with_tuned_kernel(m, k, n, true, |c| ran.push(c));
-        assert!(ran.contains(&Candidate::Sparse), "sparse operand: {ran:?}");
-        assert!(ran.len() >= 2, "a tile and the sparse kernel are timed");
+        let sparse: Vec<Candidate> = tiles.iter().copied().chain([Candidate::Sparse]).collect();
+        assert_eq!(
+            ran,
+            twice(&sparse),
+            "sparse operand: the tiles and the sparse kernel"
+        );
         ran.clear();
         with_tuned_kernel(m, k, n, true, |c| ran.push(c));
         assert_eq!(ran.len(), 1, "the sparse class's winner is cached");

@@ -8,8 +8,8 @@
 //! (tiling over output rows/columns, packing the right-hand side), thread
 //! *partitioning* (contiguous output chunks handed to the persistent worker
 //! pool in [`crate::workers`]) and column-wise SIMD *widening* (the runtime-
-//! dispatched AVX2 micro-kernels in [`crate::simd`]) all leave that
-//! per-element accumulation chain untouched, so the results are
+//! dispatched AVX2 and AVX-512 micro-kernels in [`crate::simd`]) all leave
+//! that per-element accumulation chain untouched, so the results are
 //! byte-identical to the naive reference loops and independent of the thread
 //! count and the instruction set. What is deliberately **not** done:
 //! multi-accumulator unrolling of the reduction dimension, pairwise/tree
@@ -18,14 +18,32 @@
 //!
 //! **One GEMM.** [`matmul_into`] is the only GEMM: [`matmul_nt_into`] and
 //! [`matmul_tn_into`] transpose their transposed operand into a pooled
-//! buffer (a pure permutation) and call it. It chooses a product's kernel
-//! once — the axpy loop below 4 rows or 4,096 multiply-adds, then the
-//! fast tier's autotuned choice ([`crate::fastpath`]) when that tier is
-//! active, then the zero-skipping kernel for a sparse left operand, then the
-//! strict tile (AVX2 4×16 with SIMD on, portable 4×8 off) — and one tiling
-//! loop runs every tile of both tiers. That loop gathers a short row block
-//! into a zero-padded strip and runs a narrow panel into a scratch tile, so
-//! a tile never sees an edge and no padded row or column is stored.
+//! buffer (a pure permutation; a one-column `aᵀ·b` needs none, below) and
+//! call it. It chooses a product's kernel once — the axpy loop below 4
+//! rows or 4,096 multiply-adds, then the fast tier's autotuned choice
+//! ([`crate::fastpath`]) when that tier is active, then the one-column
+//! rewrite below, then the zero-skipping kernel for a sparse left operand,
+//! then the strict tile (with SIMD on, AVX-512F 8×32 where the CPU has it
+//! and the output holds one whole 8×32 tile, else AVX2 4×16; portable 4×8
+//! with SIMD off) — and one tiling loop runs every tile of both tiers.
+//! That loop gathers a short row block into a zero-padded strip and runs a
+//! narrow panel into a scratch tile, so a tile never sees an edge and no
+//! padded row or column is stored.
+//!
+//! **One-column outputs.** A strict product with one output column would
+//! spend all but one of a panel's columns on dead work, so it runs as its
+//! transpose instead: `a·b = (bᵀ·aᵀ)ᵀ`, a product with one output row `m`
+//! wide, on the axpy loop that serves every product of one row. For one
+//! column `bᵀ` is `b` and the result's transpose is the result, so only
+//! `a` is transposed, and [`matmul_tn_into`], whose `aᵀ·b` is `(bᵀ·a)ᵀ`,
+//! transposes nothing. Each element still adds `b[p]·a[i][p]` in ascending
+//! `p` from `+0.0`; IEEE multiplication commutes, so every kept term has
+//! the reference's bits. The loop skips the zero entries of `b` instead of
+//! `a`'s: for finite operands a skipped term is `±0.0` either way (see
+//! *Sparse dispatch*; [`matmul_into`] says what differs for non-finite
+//! ones). Wider narrow outputs stay on the tile: the loop passes over its
+//! output once per column, and from two columns on that lost to one padded
+//! panel (DESIGN.md §8).
 //!
 //! **Sparse dispatch.** On the strict tier [`matmul_into`], and so all three
 //! entry points, counts the left operand's nonzero entries in one
@@ -335,6 +353,13 @@ const SCRATCH_LEN: usize = 8 * 32;
 /// operands (`m`, `k` or `n` of 0) produce a well-formed all-zero / empty
 /// result instead of panicking.
 ///
+/// Non-finite operands can give other results than the triple loop's,
+/// because the kernels leave out different `±0.0` terms: the loop and the
+/// axpy and zero-skipping kernels skip zero entries of `a`, the packed
+/// tiles skip nothing, and a one-column product skips zero entries of `b`.
+/// So `inf · 0` is NaN on a tile, and on a one-column product with the
+/// zero in `b` it adds nothing where the loop's sum turns NaN.
+///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree with `m`, `k`, `n`.
@@ -354,6 +379,10 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         gemm_axpy(a, b, k, n, 0, use_simd, out);
         return;
     }
+    if one_column(n) {
+        with_transposed(a, m, k, |at| gemm_axpy(b, at, k, m, 0, use_simd, out));
+        return;
+    }
     let nonzeros = sparse_nonzeros(a, n);
     if crate::mode::fast_active() {
         with_tuned_kernel(m, k, n, nonzeros.is_some(), |candidate| match candidate {
@@ -367,7 +396,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     } else if let Some(nonzeros) = nonzeros {
         gemm_sparse(a, b, k, n, nonzeros, use_simd, out);
     } else {
-        gemm_tiled(a, b, m, k, n, strict_tile(use_simd), out);
+        gemm_tiled(a, b, m, k, n, strict_tile(use_simd, m, n), out);
     }
 }
 
@@ -389,7 +418,9 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
 /// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`): `a`
 /// is transposed into a pooled buffer and the product runs through
 /// [`matmul_into`]. A transpose is a pure permutation, so the bits are
-/// exactly `matmul_into(aᵀ, b)`'s.
+/// exactly `matmul_into(aᵀ, b)`'s. A one-column strict product runs as
+/// `matmul_into(bᵀ, a)` instead, which transposes nothing (module docs,
+/// *One-column outputs*).
 ///
 /// # Panics
 ///
@@ -398,7 +429,18 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
     assert_eq!(a.len(), d * m, "matmul_tn lhs length mismatch");
     assert_eq!(b.len(), d * n, "matmul_tn rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_tn output length mismatch");
-    with_transposed(a, d, m, |at| matmul_into(at, b, m, d, n, out));
+    if one_column(n) {
+        matmul_into(b, a, 1, d, m, out);
+    } else {
+        with_transposed(a, d, m, |at| matmul_into(at, b, m, d, n, out));
+    }
+}
+
+/// Whether a product with `n` output columns runs as its one-row transpose
+/// (module docs, *One-column outputs*): every strict one, with SIMD on or
+/// off. The fast tier keeps its autotuned choice.
+fn one_column(n: usize) -> bool {
+    n == 1 && !crate::mode::fast_active()
 }
 
 /// Runs `f` on row-major `src` (`[rows, cols]`) transposed into a pooled
@@ -410,14 +452,19 @@ fn with_transposed(src: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32])
     with_pool(|pool| pool.recycle(t));
 }
 
-/// The strict tile: AVX2 4×16 with SIMD on, the portable 4×8 with it off.
-/// Both keep one accumulator per output element fed multiply-then-add in
-/// ascending `p`, so they store identical bits.
-fn strict_tile(use_simd: bool) -> Tile {
-    if use_simd {
-        Tile::Avx2
-    } else {
+/// The strict tile for an `m × n` output. With SIMD on: AVX-512F 8×32 when
+/// the CPU has it and the output holds one whole 8×32 tile, else AVX2 4×16.
+/// With it off: the portable 4×8. All keep one accumulator per output
+/// element fed multiply-then-add in ascending `p`, so they store identical
+/// bits.
+fn strict_tile(use_simd: bool, m: usize, n: usize) -> Tile {
+    let wide = Tile::Avx512Strict;
+    if !use_simd {
         Tile::Portable
+    } else if m >= wide.mr() && n >= wide.width() && wide.available() {
+        wide
+    } else {
+        Tile::Avx2
     }
 }
 
@@ -906,8 +953,12 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that set the process-wide thread count.
+    static THREAD_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn thread_knob_clamps_to_one() {
+        let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let before = num_threads();
         set_num_threads(0);
         assert_eq!(num_threads(), 1);
@@ -971,6 +1022,7 @@ mod tests {
         let a = Tensor::uniform(&[m, d], -1.0, 1.0, 23);
         let b_t = Tensor::uniform(&[n, d], -1.0, 1.0, 22); // bᵀ storage for NT
         let b = Tensor::uniform(&[d, n], -1.0, 1.0, 24);
+        let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let before = num_threads();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
@@ -1003,8 +1055,45 @@ mod tests {
     /// bit for bit.
     fn packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, use_simd: bool) -> Vec<f32> {
         let mut out = vec![f32::NAN; m * n];
-        gemm_tiled(a, b, m, k, n, strict_tile(use_simd), &mut out);
+        gemm_tiled(a, b, m, k, n, strict_tile(use_simd, m, n), &mut out);
         out
+    }
+
+    #[test]
+    fn strict_tiles_store_reference_bits_at_every_thread_count() {
+        // Every strict tile this CPU has, run straight through the tiling
+        // loop (so AVX-512 needs no knob to be left out), must store
+        // `matmul_ref`'s bits: whole and short row blocks of the 4- and
+        // 8-row tiles, outputs narrower than, as wide as and past each panel
+        // width, depth 1 and 300, at 1, 2 and 4 threads (the 255-row
+        // products from 31 columns up cross the parallel threshold). A tile
+        // the CPU lacks is left out, so its cases are vacuous there.
+        let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
+        let tiles: Vec<Tile> = [Tile::Portable, Tile::Avx2, Tile::Avx512Strict]
+            .into_iter()
+            .filter(|t| t.available())
+            .collect();
+        let before = num_threads();
+        for m in [4, 5, 6, 7, 8, 9, 17, 255] {
+            for n in [1, 15, 16, 31, 32, 33, 128] {
+                for k in [1, 300] {
+                    let seed = (m * 1000 + n * 10 + k) as u64;
+                    let a = Tensor::uniform(&[m, k], -1.0, 1.0, seed);
+                    let b = Tensor::uniform(&[k, n], -1.0, 1.0, seed + 1);
+                    let want = matmul_ref(&a, &b);
+                    for &tile in &tiles {
+                        for threads in [1, 2, 4] {
+                            set_num_threads(threads);
+                            let mut got = vec![f32::NAN; m * n];
+                            gemm_tiled(a.as_slice(), b.as_slice(), m, k, n, tile, &mut got);
+                            let what = format!("{tile:?} {m}x{k}x{n} threads={threads}");
+                            assert_bits_eq(&got, want.as_slice(), &what);
+                        }
+                    }
+                }
+            }
+        }
+        set_num_threads(before);
     }
 
     /// The zero-skipping kernel on `a · b`, called directly.

@@ -14,10 +14,10 @@
 //!
 //! The compute core is built for speed *without* giving up bit-for-bit
 //! reproducibility: matrix products go through the cache-blocked GEMM in
-//! [`kernels`] (with runtime-dispatched AVX2 micro-tiles), convolutions
-//! lower to im2col + GEMM, and large operations spread over a persistent
-//! worker pool ([`kernels::set_num_threads`], default 1) — all under the
-//! deterministic-reduction rule (one sequential `f32`
+//! [`kernels`] (with runtime-dispatched AVX2 and AVX-512 micro-tiles),
+//! convolutions lower to im2col + GEMM, and large operations spread over a
+//! persistent worker pool ([`kernels::set_num_threads`], default 1) — all
+//! under the deterministic-reduction rule (one sequential `f32`
 //! accumulator per output element, fixed term order), so results are
 //! byte-identical to the retained naive reference kernels (`*_ref`) and
 //! independent of the thread count. Gradient correctness is established by

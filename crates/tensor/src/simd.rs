@@ -17,14 +17,17 @@
 //! 754 single precision. FMA is deliberately **never** emitted on this tier
 //! (the `target_feature` enables only `avx2`, and the intrinsics used are
 //! plain mul/add): contracting the two roundings into one would change bits
-//! and break the strict determinism contract. Every strict kernel is AVX2,
-//! the zero-skipping row kernel ([`sparse_rows`]) behind the sparse dispatch
-//! in [`crate::kernels`] included: it keeps one register accumulator per
-//! output element that starts at `+0.0` and adds only the nonzero terms in
-//! ascending `p`, so it stores the packed 4×16 tile's bits.
+//! and break the strict determinism contract. The strict tiles are the AVX2
+//! 4×16 and, on CPUs with AVX-512F, an 8×32 stamp of the same body with
+//! `_mm512_add_ps(acc, _mm512_mul_ps(x, y))`: one accumulator per element
+//! either way, so both store the portable tile's bits. Every other strict
+//! kernel is AVX2, the zero-skipping row kernel ([`sparse_rows`]) behind the
+//! sparse dispatch in [`crate::kernels`] included: it keeps one register
+//! accumulator per output element that starts at `+0.0` and adds only the
+//! nonzero terms in ascending `p`, so it stores the packed tiles' bits.
 //!
-//! **Fast tier** ([`crate::mode`]). The `fma` stamps and the AVX-512 8×32
-//! tile *do* contract with `vfmadd`, which changes low-order bits — they
+//! **Fast tier** ([`crate::mode`]). The `fma` stamps and the fused AVX-512
+//! 8×32 tile *do* contract with `vfmadd`, which changes low-order bits — they
 //! are reachable only when `LIGHTNAS_KERNEL_MODE=fast`, through the fast
 //! tier's kernel choice ([`crate::fastpath`]), and are verified against the
 //! strict oracle by the differential tolerance suite instead of
@@ -176,6 +179,9 @@ pub(crate) enum Tile {
     /// latency one chain per row cannot; the width never touches an
     /// element's accumulation order, so it stores the 4×8 tile's bits.
     Avx2,
+    /// Strict AVX-512F 8×32: multiply, then add, sixteen `zmm`
+    /// accumulators, two per output row. Stores the 4×8 tile's bits.
+    Avx512Strict,
     /// Fast AVX2+FMA 4×16.
     Fma,
     /// Fast AVX-512F 8×32 with FMA.
@@ -185,7 +191,7 @@ pub(crate) enum Tile {
 impl Tile {
     /// Output rows per tile.
     pub(crate) fn mr(self) -> usize {
-        if self == Tile::Avx512 {
+        if matches!(self, Tile::Avx512Strict | Tile::Avx512) {
             8
         } else {
             4
@@ -197,7 +203,7 @@ impl Tile {
         match self {
             Tile::Portable => 8,
             Tile::Avx2 | Tile::Fma => 16,
-            Tile::Avx512 => 32,
+            Tile::Avx512Strict | Tile::Avx512 => 32,
         }
     }
 
@@ -214,7 +220,7 @@ impl Tile {
             Tile::Portable => true,
             Tile::Avx2 => detect(),
             Tile::Fma => fma_available(),
-            Tile::Avx512 => avx512_available(),
+            Tile::Avx512Strict | Tile::Avx512 => avx512_available(),
         }
     }
 }
@@ -266,6 +272,7 @@ pub(crate) fn tile(
         let body: TileBody = match tile {
             Tile::Portable => return false,
             Tile::Avx2 => avx2::tile,
+            Tile::Avx512Strict => avx512_strict::tile,
             Tile::Fma => fma::tile,
             Tile::Avx512 => avx512::tile,
         };
@@ -328,11 +335,16 @@ pub(crate) fn adam_rows(
 /// edges. A transpose is a pure permutation — no arithmetic, so the SIMD
 /// shuffle network produces exactly the scalar loop's bits and both tiers
 /// may use it. Returns `false` when the SIMD path is off.
+///
+/// # Panics
+///
+/// Panics if `use_simd` is set and `src` or `dst` does not hold exactly
+/// `m * n` elements.
 pub(crate) fn transpose(use_simd: bool, src: &[f32], m: usize, n: usize, dst: &mut [f32]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        debug_assert_eq!(src.len(), m * n, "transpose src length");
-        debug_assert_eq!(dst.len(), m * n, "transpose dst length");
+        assert_eq!(src.len(), m * n, "transpose src length");
+        assert_eq!(dst.len(), m * n, "transpose dst length");
         let (m8, n8) = (m - m % 8, n - n % 8);
         for i0 in (0..m8).step_by(8) {
             for j0 in (0..n8).step_by(8) {
@@ -597,6 +609,33 @@ mod fma {
     #[target_feature(enable = "avx2,fma")]
     fn madd(acc: __m256, x: __m256, y: __m256) -> __m256 {
         _mm256_fmadd_ps(x, y, acc)
+    }
+}
+
+/// The strict AVX-512F 8×32 tile: sixteen `zmm` accumulators, two per
+/// output row, each multiply and add rounded on its own.
+#[cfg(target_arch = "x86_64")]
+mod avx512_strict {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    gemm_tile!(
+        "avx512f",
+        8,
+        16,
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_set1_ps,
+        _mm512_storeu_ps
+    );
+
+    /// `acc + x·y` rounded twice: multiply, then add.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn madd(acc: __m512, x: __m512, y: __m512) -> __m512 {
+        _mm512_add_ps(acc, _mm512_mul_ps(x, y))
     }
 }
 
@@ -895,6 +934,12 @@ mod tests {
         }
     }
 
+    /// The `i`-th operand value [`run`] feeds a tile. Not dyadic, so
+    /// products round and a fused chain differs from a strict one.
+    fn operand(i: usize) -> f32 {
+        ((i * 7919 % 257) as f32 - 128.0) / 61.0
+    }
+
     /// Which operand [`run`] makes one row, or one element, too short.
     #[derive(Clone, Copy, PartialEq)]
     enum Short {
@@ -913,13 +958,12 @@ mod tests {
     fn run(t: Tile, short: Short) -> (Vec<f32>, Vec<f32>) {
         let (mr, width, k) = (t.mr(), t.width(), 37);
         let (a_base, stride, r, j0, n) = (2, k + 2, 1, 3, t.width() + 5);
-        let value = |i: usize| ((i * 7919 % 257) as f32 - 128.0) / 64.0;
         let less = |s: Short, by: usize| if short == s { by } else { 0 };
         let a: Vec<f32> = (0..a_base + (mr - 1) * stride + k - less(Short::Lhs, stride))
-            .map(value)
+            .map(operand)
             .collect();
         let panel: Vec<f32> = (0..(k - less(Short::Panel, 1)) * width)
-            .map(|i| value(i + 1000))
+            .map(|i| operand(i + 1000))
             .collect();
         let mut out = vec![f32::NAN; (r + mr - 1) * n + j0 + width - less(Short::Output, 1)];
         let mut want = out.clone();
@@ -943,7 +987,7 @@ mod tests {
 
     #[test]
     fn tiles_in_bounds_store_their_chains_bits() {
-        for t in [Tile::Avx2, Tile::Fma, Tile::Avx512] {
+        for t in [Tile::Avx2, Tile::Avx512Strict, Tile::Fma, Tile::Avx512] {
             if t.available() {
                 let (got, want) = run(t, Short::Nothing);
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -951,6 +995,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tile_operands_separate_fused_from_strict_chains() {
+        // Otherwise the test above could not tell a strict stamp that
+        // contracts from one that does not.
+        let differ = (0..32)
+            .filter(|&c| {
+                let (mut strict, mut fused) = (0.0f32, 0.0f32);
+                for p in 0..37 {
+                    let (x, y) = (operand(2 + p), operand(1000 + p * 32 + c));
+                    strict += x * y;
+                    fused = x.mul_add(y, fused);
+                }
+                strict.to_bits() != fused.to_bits()
+            })
+            .count();
+        assert!(differ > 0, "no column separates the two chains");
     }
 
     /// One `#[should_panic]` test per SIMD tile and short operand. The
@@ -970,6 +1032,9 @@ mod tests {
         avx2_tile_rejects_a_panel_one_row_short: Avx2, Panel, "panel";
         avx2_tile_rejects_an_lhs_one_row_short: Avx2, Lhs, "lhs";
         avx2_tile_rejects_an_output_past_the_end: Avx2, Output, "output";
+        avx512_strict_tile_rejects_a_panel_one_row_short: Avx512Strict, Panel, "panel";
+        avx512_strict_tile_rejects_an_lhs_one_row_short: Avx512Strict, Lhs, "lhs";
+        avx512_strict_tile_rejects_an_output_past_the_end: Avx512Strict, Output, "output";
         fma_tile_rejects_a_panel_one_row_short: Fma, Panel, "panel";
         fma_tile_rejects_an_lhs_one_row_short: Fma, Lhs, "lhs";
         fma_tile_rejects_an_output_past_the_end: Fma, Output, "output";
@@ -983,6 +1048,20 @@ mod tests {
     #[should_panic(expected = "axpy rows must match")]
     fn axpy_row_rejects_rows_of_unequal_length() {
         axpy_row(true, false, &mut [0.0; 9], &[1.0; 8], 2.0);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "transpose src length")]
+    fn transpose_rejects_a_src_one_element_short() {
+        transpose(true, &[0.0; 8 * 9 - 1], 8, 9, &mut [0.0; 8 * 9]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "transpose dst length")]
+    fn transpose_rejects_a_dst_one_element_short() {
+        transpose(true, &[0.0; 8 * 9], 8, 9, &mut [0.0; 8 * 9 - 1]);
     }
 
     #[cfg(target_arch = "x86_64")]

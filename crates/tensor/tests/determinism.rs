@@ -158,17 +158,24 @@ fn strict_products_store_reference_bits_at_every_thread_count() {
     // split the reduction dimension. Every strict entry point must store the
     // reference's bits at 1, 2 and 4 threads with SIMD on and off: on the
     // fast tier's k-split shape (6 rows, depth 8192), on odd row counts whose
-    // last row block is short, and on 1- and 15-column outputs narrower
-    // than any panel, all above the parallel threshold.
+    // last row block is short (the 8×32 AVX-512 tile's where the CPU has
+    // it), and on 1- and 15-column outputs above the parallel threshold.
+    // Then every output narrower than one 16-wide panel, 1 to 15 columns at
+    // 64 and 131 rows: one column takes the one-column path (`(bᵀ·aᵀ)ᵀ` on
+    // the axpy loop), the others the tile with a padded panel.
     let _guard = knob_lock().lock().unwrap();
     let (threads_before, simd_before) = (kernels::num_threads(), lightnas_tensor::simd_enabled());
-    for (m, k, n) in [
+    let large = [
         (6, 8192, 48),
         (255, 300, 33),
         (4099, 512, 1),
         (301, 480, 15),
-    ] {
+    ];
+    for &(m, k, n) in &large {
         assert!(m * k * n >= kernels::PAR_MIN_FLOPS);
+    }
+    let narrow = (1..16).flat_map(|n| [(64, 300, n), (131, 97, n)]);
+    for (m, k, n) in large.into_iter().chain(narrow) {
         let seed = (m * 31 + n) as u64;
         let a = Tensor::uniform(&[m, k], -1.0, 1.0, seed);
         let b = Tensor::uniform(&[k, n], -1.0, 1.0, seed + 1);
@@ -192,6 +199,46 @@ fn strict_products_store_reference_bits_at_every_thread_count() {
         }
     }
     kernels::set_num_threads(threads_before);
+    lightnas_tensor::set_simd_enabled(simd_before);
+}
+
+#[test]
+fn one_column_products_skip_zero_entries_of_b() {
+    // A one-column product runs as its one-row transpose, whose axpy loop
+    // skips the zero entries of `b` where `matmul_ref` skips those of `a`.
+    // For finite operands both leave out only `±0.0` terms. With `inf` in
+    // `a` against a zero in `b` the reference's sum turns NaN, and every
+    // entry point leaves the term out, as if `a`'s entry were 0, with SIMD
+    // on and off: this pins that difference (`matmul_into`'s docs).
+    let _guard = knob_lock().lock().unwrap();
+    let simd_before = lightnas_tensor::simd_enabled();
+    let (m, k) = (64, 96); // past the tiny-product rule
+    let mut a = Tensor::uniform(&[m, k], -1.0, 1.0, 41).as_slice().to_vec();
+    let mut b = Tensor::uniform(&[k, 1], -1.0, 1.0, 42).as_slice().to_vec();
+    b[5] = 0.0;
+    let b = Tensor::from_vec(b, &[k, 1]);
+    a[3 * k + 5] = 0.0;
+    let want = kernels::matmul_ref(&Tensor::from_vec(a.clone(), &[m, k]), &b);
+    a[3 * k + 5] = f32::INFINITY;
+    let a = Tensor::from_vec(a, &[m, k]);
+    assert!(
+        kernels::matmul_ref(&a, &b).as_slice()[3].is_nan(),
+        "the reference adds inf·0"
+    );
+    assert!(want.as_slice()[3].is_finite());
+    let (a_t, b_t) = (a.transpose(), b.transpose());
+    for simd in [true, false] {
+        lightnas_tensor::set_simd_enabled(simd);
+        let mut out = vec![f32::NAN; m];
+        kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, 1, &mut out);
+        assert_eq!(fnv(&out), fnv(want.as_slice()), "a·b simd={simd}");
+        out.fill(f32::NAN);
+        kernels::matmul_nt_into(a.as_slice(), b_t.as_slice(), m, k, 1, &mut out);
+        assert_eq!(fnv(&out), fnv(want.as_slice()), "a·bᵀ simd={simd}");
+        out.fill(f32::NAN);
+        kernels::matmul_tn_into(a_t.as_slice(), b.as_slice(), k, m, 1, &mut out);
+        assert_eq!(fnv(&out), fnv(want.as_slice()), "aᵀ·b simd={simd}");
+    }
     lightnas_tensor::set_simd_enabled(simd_before);
 }
 
