@@ -34,7 +34,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lightnas_bench::{render_table, verdict, Harness};
+use lightnas_bench::{exit_code, render_table, verdict, write_artifact, BenchJson, Harness};
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_runtime::Telemetry;
@@ -320,56 +320,25 @@ fn main() -> ExitCode {
         &format!("{} served", report.served),
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"seed\": {seed},\n",
-            "  \"quick\": {quick},\n",
-            "  \"samples\": {samples},\n",
-            "  \"incumbent_rmse_ms\": {incumbent:.6},\n",
-            "  \"promoted_rmse_ms\": {promoted:.6},\n",
-            "  \"oracle_rmse_ms\": {oracle:.6},\n",
-            "  \"rmse_ratio\": {ratio:.6},\n",
-            "  \"spearman\": {rho:.6},\n",
-            "  \"staleness_flags\": {flags},\n",
-            "  \"retrains\": {retrains},\n",
-            "  \"promotions\": {promotions},\n",
-            "  \"rollbacks\": {rollbacks},\n",
-            "  \"final_generation\": {generation},\n",
-            "  \"degraded_routed\": {routed},\n",
-            "  \"served\": {served},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        seed = SEED,
-        quick = h.quick,
-        samples = total,
-        incumbent = incumbent_rmse,
-        promoted = promoted_rmse,
-        oracle = oracle_rmse,
-        ratio = rmse_ratio,
-        rho = rho,
-        flags = t_final.flags,
-        retrains = t_final.retrains,
-        promotions = t_final.promotions,
-        rollbacks = t_final.rollbacks,
-        generation = slot.generation(),
-        routed = routed,
-        served = report.served,
-        pass = pass,
-    );
-    match std::fs::write("BENCH_drift.json", &json) {
-        Ok(()) => eprintln!("[drift_soak] wrote BENCH_drift.json"),
-        Err(e) => eprintln!("[drift_soak] failed to write BENCH_drift.json: {e}"),
-    }
-
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        println!();
-        println!("drift_soak: FAILED — at least one acceptance bar missed");
-        ExitCode::FAILURE
-    }
+    let json = BenchJson::default()
+        .field("seed", SEED)
+        .field("quick", h.quick)
+        .field("samples", total)
+        .field("incumbent_rmse_ms", format!("{incumbent_rmse:.6}"))
+        .field("promoted_rmse_ms", format!("{promoted_rmse:.6}"))
+        .field("oracle_rmse_ms", format!("{oracle_rmse:.6}"))
+        .field("rmse_ratio", format!("{rmse_ratio:.6}"))
+        .field("spearman", format!("{rho:.6}"))
+        .field("staleness_flags", t_final.flags)
+        .field("retrains", t_final.retrains)
+        .field("promotions", t_final.promotions)
+        .field("rollbacks", t_final.rollbacks)
+        .field("final_generation", slot.generation())
+        .field("degraded_routed", routed)
+        .field("served", report.served)
+        .field("pass", pass);
+    let _ = write_artifact("BENCH_drift.json", json.render());
+    exit_code("drift_soak", pass)
 }
 
 /// The phase-B bar: how close is the adapted serving model to a freshly

@@ -38,7 +38,7 @@ fn main() -> ExitCode {
     let targets = [19.0, 24.0, 29.0];
     let seeds = [0, 1, 2];
     let jobs = SearchJob::grid(&targets, &seeds, config);
-    let workers = sweep_workers();
+    let workers = sweep_workers(8);
     println!(
         "Fault sweep: {} jobs ({} targets x {} seeds), {} epochs each, {workers} workers.\n",
         jobs.len(),

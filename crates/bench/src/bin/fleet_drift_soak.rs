@@ -45,7 +45,9 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lightnas_bench::{render_table, verdict, Harness};
+use lightnas_bench::{
+    exit_code, json_str, render_table, verdict, write_artifact, BenchJson, Harness,
+};
 use lightnas_fleet::{
     fleet_audit_is_well_formed, predictor_rmse, spearman, transfer_predictor, DeviceFleet,
     DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, MonotoneMap, TransferOptions,
@@ -729,74 +731,41 @@ fn main() -> ExitCode {
         "per-device generation = audited deployments",
     );
 
-    let per_device: String = fleet
+    let per_device: Vec<Vec<(&str, String)>> = fleet
         .devices()
         .iter()
         .zip(&evals)
         .enumerate()
         .map(|(i, (spec, (m, o, rho)))| {
-            format!(
-                concat!(
-                    "    {{\"device\": \"{name}\", \"generation\": {gen}, ",
-                    "\"final_rmse_ms\": {m:.6}, \"oracle_rmse_ms\": {o:.6}, ",
-                    "\"rmse_ratio\": {ratio:.6}, \"spearman\": {rho:.6}}}"
-                ),
-                name = spec.name,
-                gen = primary.generations[i],
-                m = m,
-                o = o,
-                ratio = m / o,
-                rho = rho,
-            )
+            vec![
+                ("device", json_str(&spec.name)),
+                ("generation", primary.generations[i].to_string()),
+                ("final_rmse_ms", format!("{m:.6}")),
+                ("oracle_rmse_ms", format!("{o:.6}")),
+                ("rmse_ratio", format!("{:.6}", m / o)),
+                ("spearman", format!("{rho:.6}")),
+            ]
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"seed\": {seed},\n",
-            "  \"quick\": {quick},\n",
-            "  \"ticks\": {ticks},\n",
-            "  \"devices\": [\n{per_device}\n  ],\n",
-            "  \"warm_samples_to_promote\": {warm_stp},\n",
-            "  \"cold_samples_to_promote\": {cold_stp},\n",
-            "  \"cold_censored\": {cold_is_censored},\n",
-            "  \"staleness_flags\": {flags},\n",
-            "  \"retrains\": {retrains},\n",
-            "  \"promotions\": {promotions},\n",
-            "  \"rollbacks\": {rollbacks},\n",
-            "  \"pool_starved_ticks\": {starved},\n",
-            "  \"max_admission_wait\": {max_wait},\n",
-            "  \"worst_rmse_ratio\": {worst:.6},\n",
-            "  \"pass\": {pass}\n",
-            "}}\n"
-        ),
-        seed = SEED,
-        quick = h.quick,
-        ticks = total,
-        per_device = per_device,
-        warm_stp = warm_stp.map_or("null".into(), |t| t.to_string()),
-        cold_stp = cold_censored,
-        cold_is_censored = cold_stp.is_none(),
-        flags = t_all.flags,
-        retrains = t_all.retrains,
-        promotions = t_all.promotions,
-        rollbacks = t_all.rollbacks,
-        starved = t_all.starved,
-        max_wait = primary.max_wait,
-        worst = worst_ratio,
-        pass = pass,
-    );
-    match std::fs::write("BENCH_fleet_drift.json", &json) {
-        Ok(()) => eprintln!("[fleet_drift_soak] wrote BENCH_fleet_drift.json"),
-        Err(e) => eprintln!("[fleet_drift_soak] failed to write BENCH_fleet_drift.json: {e}"),
-    }
-
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        println!();
-        println!("fleet_drift_soak: FAILED — at least one acceptance bar missed");
-        ExitCode::FAILURE
-    }
+        .collect();
+    let json = BenchJson::default()
+        .field("seed", SEED)
+        .field("quick", h.quick)
+        .field("ticks", total)
+        .rows("devices", &per_device)
+        .field(
+            "warm_samples_to_promote",
+            warm_stp.map_or("null".into(), |t| t.to_string()),
+        )
+        .field("cold_samples_to_promote", cold_censored)
+        .field("cold_censored", cold_stp.is_none())
+        .field("staleness_flags", t_all.flags)
+        .field("retrains", t_all.retrains)
+        .field("promotions", t_all.promotions)
+        .field("rollbacks", t_all.rollbacks)
+        .field("pool_starved_ticks", t_all.starved)
+        .field("max_admission_wait", primary.max_wait)
+        .field("worst_rmse_ratio", format!("{worst_ratio:.6}"))
+        .field("pass", pass);
+    let _ = write_artifact("BENCH_fleet_drift.json", json.render());
+    exit_code("fleet_drift_soak", pass)
 }

@@ -34,12 +34,13 @@
 //! the raw numbers in `BENCH_fleet.json` at the repo root. Per-device sweep
 //! telemetry is written under `results/runs/fleet_<device>.jsonl`.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use lightnas::SearchConfig;
-use lightnas_bench::{quick_mode, render_table, sweep_workers};
+use lightnas_bench::{
+    exit_code, json_str, quick_mode, render_table, sweep_workers, write_artifact, BenchJson,
+};
 use lightnas_eval::AccuracyOracle;
 use lightnas_fleet::{
     predictor_rmse, quantile_targets, spearman, transfer_predictor, DeviceFleet, DeviceFront,
@@ -115,7 +116,7 @@ fn main() -> ExitCode {
     } else {
         SearchConfig::fast()
     };
-    let workers = sweep_workers();
+    let workers = sweep_workers(8);
     let mnv2 = mobilenet_v2();
 
     println!(
@@ -310,37 +311,30 @@ fn main() -> ExitCode {
     println!("min search rank correlation:        {min_corr:.3} (bar: {RANK_CORR_BAR:.1})");
 
     // Raw evidence for CI.
-    let mut json = String::from("{\n  \"rows\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"device\": \"{}\", \"mnv2_ms\": {:.2}, \"per_device_rmse_ms\": {:.4}, \"transfer_rmse_ms\": {:.4}, \"rmse_ratio\": {:.3}, \"search_rank_corr\": {:.4}, \"pareto_per_device\": {}, \"pareto_transfer\": {}}}{}",
-            r.name,
-            r.mnv2_ms,
-            r.per_device_rmse,
-            r.transfer_rmse,
-            r.ratio(),
-            r.rank_corr,
-            r.per_device.front.len(),
-            r.transferred.front.len(),
-            if i + 1 == reports.len() { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"devices\": {},\n  \"transfer_budget\": {},\n  \"max_rmse_ratio\": {max_ratio:.3},\n  \"min_search_rank_corr\": {min_corr:.4},\n  \"rmse_ratio_bar\": {RMSE_RATIO_BAR},\n  \"rank_corr_bar\": {RANK_CORR_BAR},\n  \"quick\": {quick}\n}}\n",
-        fleet.len(),
-        transfer_opts.budget,
-    );
-    match std::fs::write("BENCH_fleet.json", &json) {
-        Ok(()) => eprintln!("[fleet] wrote BENCH_fleet.json"),
-        Err(e) => eprintln!("[fleet] failed to write BENCH_fleet.json: {e}"),
-    }
-
-    if reports.iter().all(DeviceReport::passes) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[fleet] acceptance bars FAILED");
-        ExitCode::FAILURE
-    }
+    let rows: Vec<Vec<(&str, String)>> = reports
+        .iter()
+        .map(|r| {
+            vec![
+                ("device", json_str(&r.name)),
+                ("mnv2_ms", format!("{:.2}", r.mnv2_ms)),
+                ("per_device_rmse_ms", format!("{:.4}", r.per_device_rmse)),
+                ("transfer_rmse_ms", format!("{:.4}", r.transfer_rmse)),
+                ("rmse_ratio", format!("{:.3}", r.ratio())),
+                ("search_rank_corr", format!("{:.4}", r.rank_corr)),
+                ("pareto_per_device", r.per_device.front.len().to_string()),
+                ("pareto_transfer", r.transferred.front.len().to_string()),
+            ]
+        })
+        .collect();
+    let json = BenchJson::default()
+        .rows("rows", &rows)
+        .field("devices", fleet.len())
+        .field("transfer_budget", transfer_opts.budget)
+        .field("max_rmse_ratio", format!("{max_ratio:.3}"))
+        .field("min_search_rank_corr", format!("{min_corr:.4}"))
+        .field("rmse_ratio_bar", RMSE_RATIO_BAR)
+        .field("rank_corr_bar", RANK_CORR_BAR)
+        .field("quick", quick);
+    let _ = write_artifact("BENCH_fleet.json", json.render());
+    exit_code("fleet_pareto", reports.iter().all(DeviceReport::passes))
 }

@@ -1,16 +1,18 @@
 //! Kernel-throughput exhibit: the blocked/parallel compute kernels against
 //! the retained naive references, at MBConv-representative shapes.
 //!
-//! For each shape the fast path is timed serial and at 4 kernel threads,
-//! the naive reference is timed once, and every fast output is checked
+//! For each shape the fast path is timed serial and at 4 kernel threads
+//! beside the naive reference, and every fast output is checked
 //! bit-for-bit against the reference before any number is reported — a
-//! speedup that broke the determinism invariant would be worthless. The
-//! table lands in `results/kernels.txt`, the raw numbers in
-//! `BENCH_kernels.json` at the repo root (schema: one record per row with
-//! median wall times in microseconds and the serial speedup factor).
+//! speedup that broke the determinism invariant would be worthless. Every
+//! lane of a row is timed on the shared rule ([`lightnas_bench::best_of`]:
+//! a warm-up round, then the best of 15 interleaved rounds). The table and
+//! the verdicts go to stdout (`results/kernels.txt` is that stdout), the raw
+//! numbers to `BENCH_kernels.json` at the repo root (schema: one record per
+//! row with best wall times in microseconds and the serial speedup factor).
 //!
 //! ```text
-//! cargo run --release -p lightnas-bench --bin kernels
+//! cargo run --release -p lightnas-bench --bin kernels > results/kernels.txt
 //! ```
 //!
 //! Timing is machine-dependent; the JSON is evidence from the machine that
@@ -24,38 +26,16 @@
 //! error consumes (`bound util`, asserted ≤ 1). Strict rows keep their
 //! bit-identity gate; fast rows are gated by `lightnas_tensor::tolerance`.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use lightnas_bench::render_table;
+use lightnas_bench::{
+    best_of, exit_code, fnv_f32, hardware_threads, json_str, render_table, span_us, verdict,
+    write_artifact, BenchJson,
+};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_space::SearchSpace;
 use lightnas_tensor::tolerance::ReductionBound;
 use lightnas_tensor::{kernels, set_kernel_mode, Conv2dSpec, KernelMode, Tensor};
-
-/// Median wall time of `f` over `reps` runs, in microseconds.
-fn time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn fnv(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 struct Row {
     name: String,
@@ -108,71 +88,86 @@ fn tier_error(fast: &[f32], strict: &[f32], scale: &[f32], bound: ReductionBound
     (rel, util)
 }
 
-/// Times the fast tier at 1 and 4 threads and checks its output against
-/// the strict `reference` under `bound`; call with strict mode active,
-/// leaves strict mode active.
-fn measure_tier(
-    reps: usize,
-    reference: &[f32],
-    scale: &[f32],
-    bound: ReductionBound,
-    mut run: impl FnMut() -> Tensor,
-) -> FastTier {
-    set_kernel_mode(KernelMode::Fast);
-    kernels::set_num_threads(1);
-    let out = run();
-    let (max_rel_err, bound_util) = tier_error(out.as_slice(), reference, scale, bound);
-    let t1_us = time_us(reps, &mut run);
-    kernels::set_num_threads(4);
-    let t4_us = time_us(reps, &mut run);
-    kernels::set_num_threads(1);
+/// Times one row's five lanes on the shared rule: the naive reference, the
+/// strict path at 1 and 4 threads, and the fast tier at 1 and 4 threads.
+/// `tier` is the fast tier's `(max_rel_err, bound_util)`, checked before
+/// timing. Leaves strict mode at one thread.
+fn time_row<N, F>(
+    name: &str,
+    rounds: usize,
+    naive: impl Fn() -> N,
+    fast: impl Fn() -> F,
+    (max_rel_err, bound_util): (f64, f64),
+) -> Row {
+    const LANES: [(KernelMode, usize); 5] = [
+        (KernelMode::Strict, 1),
+        (KernelMode::Strict, 1),
+        (KernelMode::Strict, 4),
+        (KernelMode::Fast, 1),
+        (KernelMode::Fast, 4),
+    ];
+    let us = best_of(rounds, LANES.len(), |lane| {
+        let (mode, threads) = LANES[lane];
+        set_kernel_mode(mode);
+        kernels::set_num_threads(threads);
+        if lane == 0 {
+            span_us(&naive)
+        } else {
+            span_us(&fast)
+        }
+    });
     set_kernel_mode(KernelMode::Strict);
-    FastTier {
-        t1_us,
-        t4_us,
-        max_rel_err,
-        bound_util,
+    kernels::set_num_threads(1);
+    Row {
+        name: name.to_string(),
+        naive_us: us[0],
+        fast_us: us[1],
+        fast4_us: us[2],
+        tier: FastTier {
+            t1_us: us[3],
+            t4_us: us[4],
+            max_rel_err,
+            bound_util,
+        },
     }
 }
 
-/// Benchmarks one conv shape; panics if any path's bits diverge.
-fn conv_row(name: &str, x: &Tensor, w: &Tensor, spec: Conv2dSpec, reps: usize) -> Row {
-    let reference = lightnas_tensor::conv2d_forward_ref(x, w, spec);
+/// Benchmarks one binary operator (a conv or a GEMM) against its naive
+/// reference; panics if the strict path's bits diverge at 1 or 4 threads.
+fn op_row(
+    name: &str,
+    rounds: usize,
+    a: &Tensor,
+    b: &Tensor,
+    naive: impl Fn(&Tensor, &Tensor) -> Tensor,
+    fast: impl Fn(&Tensor, &Tensor) -> Tensor,
+    bound: ReductionBound,
+) -> Row {
+    let reference = naive(a, b);
     for threads in [1usize, 4] {
         kernels::set_num_threads(threads);
-        let fast = lightnas_tensor::conv2d_forward(x, w, spec);
         assert_eq!(
-            fnv(fast.as_slice()),
-            fnv(reference.as_slice()),
-            "{name}: fast conv at {threads} threads diverged from the naive reference"
+            fnv_f32(fast(a, b).as_slice()),
+            fnv_f32(reference.as_slice()),
+            "{name}: the strict path at {threads} threads diverged from the naive reference"
         );
     }
     kernels::set_num_threads(1);
-    let naive_us = time_us(reps, || lightnas_tensor::conv2d_forward_ref(x, w, spec));
-    let fast_us = time_us(reps, || lightnas_tensor::conv2d_forward(x, w, spec));
-    kernels::set_num_threads(4);
-    let fast4_us = time_us(reps, || lightnas_tensor::conv2d_forward(x, w, spec));
-    kernels::set_num_threads(1);
-    let scale = lightnas_tensor::conv2d_forward(&abs_tensor(x), &abs_tensor(w), spec);
-    let cin = x.shape().dims()[1];
-    let tier = measure_tier(
-        reps,
+    let scale = fast(&abs_tensor(a), &abs_tensor(b));
+    set_kernel_mode(KernelMode::Fast);
+    let out = fast(a, b);
+    set_kernel_mode(KernelMode::Strict);
+    let tier = tier_error(
+        out.as_slice(),
         reference.as_slice(),
         scale.as_slice(),
-        ReductionBound::conv2d(cin, spec.kernel, spec.kernel),
-        || lightnas_tensor::conv2d_forward(x, w, spec),
+        bound,
     );
-    Row {
-        name: name.to_string(),
-        naive_us,
-        fast_us,
-        fast4_us,
-        tier,
-    }
+    time_row(name, rounds, || naive(a, b), || fast(a, b), tier)
 }
 
 fn main() -> ExitCode {
-    let reps = 15;
+    let rounds = 15;
     let mut rows: Vec<Row> = Vec::new();
 
     // MBConv-representative convs: stem / mid-network / late-network shapes
@@ -205,44 +200,27 @@ fn main() -> ExitCode {
         };
         let x = Tensor::uniform(xs, -1.0, 1.0, 10 + i as u64);
         let w = Tensor::uniform(ws, -0.5, 0.5, 20 + i as u64);
-        rows.push(conv_row(name, &x, &w, spec, reps));
+        rows.push(op_row(
+            name,
+            rounds,
+            &x,
+            &w,
+            |x, w| lightnas_tensor::conv2d_forward_ref(x, w, spec),
+            |x, w| lightnas_tensor::conv2d_forward(x, w, spec),
+            ReductionBound::conv2d(xs[1], spec.kernel, spec.kernel),
+        ));
     }
 
     // GEMM at a supernet-classifier-like shape.
-    {
-        let a = Tensor::uniform(&[512, 320], -1.0, 1.0, 30);
-        let b = Tensor::uniform(&[320, 256], -1.0, 1.0, 31);
-        let reference = lightnas_tensor::matmul_ref(&a, &b);
-        for threads in [1usize, 4] {
-            kernels::set_num_threads(threads);
-            assert_eq!(
-                fnv(a.matmul(&b).as_slice()),
-                fnv(reference.as_slice()),
-                "matmul at {threads} threads diverged from the naive reference"
-            );
-        }
-        kernels::set_num_threads(1);
-        let naive_us = time_us(reps, || lightnas_tensor::matmul_ref(&a, &b));
-        let fast_us = time_us(reps, || a.matmul(&b));
-        kernels::set_num_threads(4);
-        let fast4_us = time_us(reps, || a.matmul(&b));
-        kernels::set_num_threads(1);
-        let scale = abs_tensor(&a).matmul(&abs_tensor(&b));
-        let tier = measure_tier(
-            reps,
-            reference.as_slice(),
-            scale.as_slice(),
-            ReductionBound::matmul(320),
-            || a.matmul(&b),
-        );
-        rows.push(Row {
-            name: "matmul 512x320x256".into(),
-            naive_us,
-            fast_us,
-            fast4_us,
-            tier,
-        });
-    }
+    rows.push(op_row(
+        "matmul 512x320x256",
+        rounds,
+        &Tensor::uniform(&[512, 320], -1.0, 1.0, 30),
+        &Tensor::uniform(&[320, 256], -1.0, 1.0, 31),
+        lightnas_tensor::matmul_ref,
+        |a, b| a.matmul(b),
+        ReductionBound::matmul(320),
+    ));
 
     // Predictor inference: 256 rows per-query vs one batched GEMM. The
     // "naive" column is the per-row path (the pre-change interface), so the
@@ -269,44 +247,33 @@ fn main() -> ExitCode {
                 "batched prediction diverged from the per-row path"
             );
         }
-        let naive_us = time_us(reps, || {
-            encodings
-                .iter()
-                .map(|e| predictor.predict_encoding(e))
-                .collect::<Vec<f64>>()
-        });
-        let fast_us = time_us(reps, || predictor.predict_batch(&encodings));
-        kernels::set_num_threads(4);
-        let fast4_us = time_us(reps, || predictor.predict_batch(&encodings));
-        kernels::set_num_threads(1);
         // Σ|terms| is not observable through the frozen network, so the
         // honest scale for end-to-end predictions is |prediction| + 1 and
         // the bound is the summed layer depth (as the serve tier test pins).
-        let strict_preds: Vec<f32> = batched.iter().map(|&v| v as f32).collect();
+        let as_f32 = |preds: Vec<f64>| preds.iter().map(|&v| v as f32).collect::<Vec<f32>>();
+        let strict_preds = as_f32(batched);
         let scale: Vec<f32> = strict_preds.iter().map(|p| p.abs() + 1.0).collect();
-        let tier = measure_tier(
-            reps,
+        set_kernel_mode(KernelMode::Fast);
+        let fast_preds = as_f32(predictor.predict_batch(&encodings));
+        set_kernel_mode(KernelMode::Strict);
+        let tier = tier_error(
+            &fast_preds,
             &strict_preds,
             &scale,
             ReductionBound::matmul(154 + 128 + 64),
-            || {
-                Tensor::from_vec(
-                    predictor
-                        .predict_batch(&encodings)
-                        .iter()
-                        .map(|&v| v as f32)
-                        .collect(),
-                    &[encodings.len()],
-                )
-            },
         );
-        rows.push(Row {
-            name: "mlp predict x256".into(),
-            naive_us,
-            fast_us,
-            fast4_us,
+        rows.push(time_row(
+            "mlp predict x256",
+            rounds,
+            || {
+                encodings
+                    .iter()
+                    .map(|e| predictor.predict_encoding(e))
+                    .collect::<Vec<f64>>()
+            },
+            || predictor.predict_batch(&encodings),
             tier,
-        });
+        ));
     }
 
     let table = render_table(
@@ -338,7 +305,7 @@ fn main() -> ExitCode {
             })
             .collect::<Vec<_>>(),
     );
-    println!("Kernel throughput: blocked/parallel vs naive reference, plus the opt-in fast tier\n(strict rows bit-identity-verified; fast rows tolerance-verified before timing)\n");
+    println!("Kernel throughput: blocked/parallel vs naive reference, plus the opt-in fast tier\n(strict rows bit-identity-verified; fast rows tolerance-verified before timing;\nbest of {rounds} interleaved rounds)\n");
     println!("{table}");
 
     let conv_rows: Vec<&Row> = rows.iter().filter(|r| r.name.starts_with("conv")).collect();
@@ -346,7 +313,6 @@ fn main() -> ExitCode {
         .iter()
         .map(|r| r.speedup())
         .fold(f64::INFINITY, f64::min);
-    println!("minimum serial conv2d forward speedup: {min_conv:.1}x (bar: 3.0x)");
     // Persistent-pool dividend: dispatching to 4 workers must never cost
     // real throughput, even on a single hardware core (where the old
     // spawn-per-call path paid thread-creation on every conv). Parity is
@@ -355,7 +321,6 @@ fn main() -> ExitCode {
         .iter()
         .map(|r| r.fast_us / r.fast4_us)
         .fold(f64::INFINITY, f64::min);
-    println!("minimum conv2d 4-thread/serial parity: {min_parity:.2} (bar: 0.95)");
     let tier_max_util = rows
         .iter()
         .map(|r| r.tier.bound_util)
@@ -364,73 +329,63 @@ fn main() -> ExitCode {
         .iter()
         .map(|r| r.tier.parity())
         .fold(f64::INFINITY, f64::min);
-    println!("fast-tier max tolerance-bound utilization: {tier_max_util:.2} (bar: 1.0)");
-    println!("fast-tier min 4-thread/serial parity: {tier_min_parity:.2} (bar: 0.90)");
+    let threads = hardware_threads();
 
-    let mut json = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"naive_us\": {:.1}, \"fast_1t_us\": {:.1}, \"fast_4t_us\": {:.1}, \"speedup_1t\": {:.2}, \"speedup_4t\": {:.2}, \"fastmode_1t_us\": {:.1}, \"fastmode_4t_us\": {:.1}, \"fastmode_max_rel_err\": {:.3e}, \"fastmode_bound_util\": {:.3}, \"fastmode_parity_4t\": {:.3}}}{}",
-            r.name,
-            r.naive_us,
-            r.fast_us,
-            r.fast4_us,
-            r.speedup(),
-            r.naive_us / r.fast4_us,
-            r.tier.t1_us,
-            r.tier.t4_us,
-            r.tier.max_rel_err,
-            r.tier.bound_util,
-            r.tier.parity(),
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"min_conv_forward_speedup_1t\": {min_conv:.2},\n  \"min_conv_parallel_parity\": {min_parity:.3},\n  \"fastmode_max_bound_util\": {tier_max_util:.3},\n  \"fastmode_min_parity_4t\": {tier_min_parity:.3},\n  \"bit_identity_verified\": true\n}}\n"
+    let rows_json: Vec<Vec<(&str, String)>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("kernel", json_str(&r.name)),
+                ("naive_us", format!("{:.1}", r.naive_us)),
+                ("fast_1t_us", format!("{:.1}", r.fast_us)),
+                ("fast_4t_us", format!("{:.1}", r.fast4_us)),
+                ("speedup_1t", format!("{:.2}", r.speedup())),
+                ("speedup_4t", format!("{:.2}", r.naive_us / r.fast4_us)),
+                ("fastmode_1t_us", format!("{:.1}", r.tier.t1_us)),
+                ("fastmode_4t_us", format!("{:.1}", r.tier.t4_us)),
+                (
+                    "fastmode_max_rel_err",
+                    format!("{:.3e}", r.tier.max_rel_err),
+                ),
+                ("fastmode_bound_util", format!("{:.3}", r.tier.bound_util)),
+                ("fastmode_parity_4t", format!("{:.3}", r.tier.parity())),
+            ]
+        })
+        .collect();
+    let json = BenchJson::default()
+        .rows("rows", &rows_json)
+        .field("min_conv_forward_speedup_1t", format!("{min_conv:.2}"))
+        .field("min_conv_parallel_parity", format!("{min_parity:.3}"))
+        .field("fastmode_max_bound_util", format!("{tier_max_util:.3}"))
+        .field("fastmode_min_parity_4t", format!("{tier_min_parity:.3}"))
+        .field("hardware_threads", threads)
+        .field("bit_identity_verified", true);
+    let _ = write_artifact("BENCH_kernels.json", json.render());
+
+    println!("kernels verdicts ({threads} hardware threads):");
+    let mut pass = true;
+    pass &= verdict(
+        "serial conv2d forward speedup >= 3.0x",
+        min_conv >= 3.0,
+        &format!("min {min_conv:.1}x"),
     );
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("[kernels] cannot create results/: {e}");
-    }
-    match std::fs::write(
-        "results/kernels.txt",
-        format!(
-            "{table}\nminimum serial conv2d forward speedup: {min_conv:.1}x\nminimum conv2d 4-thread/serial parity: {min_parity:.2}\n"
-        ),
-    ) {
-        Ok(()) => eprintln!("[kernels] wrote results/kernels.txt"),
-        Err(e) => eprintln!("[kernels] failed to write results/kernels.txt: {e}"),
-    }
-    match std::fs::write("BENCH_kernels.json", &json) {
-        Ok(()) => eprintln!("[kernels] wrote BENCH_kernels.json"),
-        Err(e) => eprintln!("[kernels] failed to write BENCH_kernels.json: {e}"),
-    }
-
-    if min_conv < 3.0 {
-        eprintln!("error: conv2d forward speedup {min_conv:.1}x is below the 3x acceptance bar");
-        return ExitCode::FAILURE;
-    }
-    if min_parity < 0.95 {
-        eprintln!(
-            "error: conv2d 4-thread parity {min_parity:.2} is below the 0.95 acceptance bar \
-             (the persistent pool must make parallel dispatch at worst free)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if tier_max_util > 1.0 {
-        eprintln!(
-            "error: fast tier consumed {tier_max_util:.2}x of its documented tolerance bound \
-             (must stay within 1.0x — see lightnas_tensor::tolerance)"
-        );
-        return ExitCode::FAILURE;
-    }
-    if tier_min_parity < 0.90 {
-        eprintln!(
-            "error: fast-tier 4-thread parity {tier_min_parity:.2} is below the 0.90 bar \
-             (per-thread partial sums must not cost real throughput)"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    pass &= verdict(
+        "conv2d 4-thread/serial parity >= 0.95",
+        min_parity >= 0.95,
+        &format!("min {min_parity:.2}"),
+    );
+    // The fast tier must stay within 1.0x of its documented tolerance
+    // bound (lightnas_tensor::tolerance).
+    pass &= verdict(
+        "fast-tier error within its tolerance bound",
+        tier_max_util <= 1.0,
+        &format!("max {tier_max_util:.2} of the bound"),
+    );
+    // Per-thread partial sums must not cost real throughput.
+    pass &= verdict(
+        "fast-tier 4-thread/serial parity >= 0.90",
+        tier_min_parity >= 0.90,
+        &format!("min {tier_min_parity:.2}"),
+    );
+    exit_code("kernels", pass)
 }

@@ -15,7 +15,7 @@ use lightnas_space::reference_architectures;
 fn main() {
     let h = Harness::standard();
     let targets: Vec<f64> = (0..10).map(|i| 18.0 + 1.5 * i as f64).collect();
-    let workers = lightnas_bench::sweep_workers();
+    let workers = lightnas_bench::sweep_workers(8);
     eprintln!(
         "[pareto] tracing {} frontier points on {workers} workers ...",
         targets.len()

@@ -1,9 +1,14 @@
 //! Convenience driver: regenerates every exhibit, writing each binary's
-//! output under `results/`. Equivalent to running the individual `figN` /
-//! `tableN` / ablation binaries by hand — but the subprocesses are driven
-//! through the runtime's [`JobScheduler`], so independent exhibits overlap
-//! (`LIGHTNAS_WORKERS` picks the pool size) while the summary stays in
-//! deterministic exhibit order.
+//! stdout to `results/<name>.txt`. Equivalent to running the individual
+//! `figN` / `tableN` / ablation binaries by hand — but the subprocesses are
+//! driven through the runtime's [`JobScheduler`], so independent exhibits
+//! overlap (`LIGHTNAS_WORKERS` picks the pool size) while the summary stays
+//! in deterministic exhibit order.
+//!
+//! The timing exhibits `kernels`, `train_step` and `serve_bench` are left
+//! out on purpose: their bars are ratios of wall times, which exhibits
+//! running beside them would skew. Run them alone, redirecting stdout to
+//! their results file.
 //!
 //! ```text
 //! cargo run --release -p lightnas-bench --bin repro_all [-- --out results]
@@ -11,11 +16,11 @@
 //!
 //! Honors `LIGHTNAS_QUICK=1` like every other harness.
 
-use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+use lightnas_bench::{sweep_workers, write_artifact};
 use lightnas_runtime::JobScheduler;
 
 const EXHIBITS: &[&str] = &[
@@ -59,10 +64,6 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"));
-    if let Err(e) = fs::create_dir_all(&out_dir) {
-        eprintln!("error: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin dir");
 
@@ -70,16 +71,7 @@ fn main() -> ExitCode {
     // fully independent — ideal scheduler jobs. Default to 2 workers: the
     // subprocesses are CPU-bound, and oversubscription only adds noise to
     // their printed timings.
-    let workers = std::env::var("LIGHTNAS_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(2)
-        });
+    let workers = sweep_workers(2);
     eprintln!(
         "[repro_all] {} exhibits on {workers} workers",
         EXHIBITS.len()
@@ -92,7 +84,7 @@ fn main() -> ExitCode {
         match Command::new(bin_dir.join(name)).output() {
             Ok(out) if out.status.success() => {
                 let path = out_dir.join(format!("{name}.txt"));
-                match fs::write(&path, &out.stdout) {
+                match write_artifact(&path, &out.stdout) {
                     Ok(()) => Status::Ok(started.elapsed(), path),
                     Err(e) => Status::Failed(format!("write failed: {e}")),
                 }

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lightnas::LightNas;
-use lightnas_bench::{render_table, Harness};
+use lightnas_bench::{hardware_threads, render_table, Harness};
 use lightnas_runtime::{run_sweep, SearchJob, SweepOptions, SweepReport, Telemetry};
 
 /// `(architecture spec, λ bits)` per job: the byte-level fingerprint two
@@ -108,7 +108,7 @@ fn main() -> ExitCode {
         one.wall,
         four.wall,
         one.wall.as_secs_f64() / four.wall.as_secs_f64().max(1e-9),
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        hardware_threads(),
     );
     println!(
         "shared predictor cache (4-worker run): {} hits / {} misses ({:.1}% hit rate, {} jobs)",

@@ -11,6 +11,9 @@
 
 pub mod plot;
 
+use std::io;
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use lightnas::SearchConfig;
@@ -47,18 +50,21 @@ pub fn quick_mode() -> bool {
 
 /// Worker-thread count for the scheduler-driven harnesses: the
 /// `LIGHTNAS_WORKERS` variable when set to a positive integer, otherwise
-/// the machine's available parallelism (capped at 8).
-pub fn sweep_workers() -> usize {
+/// the machine's available parallelism capped at `cap`.
+pub fn sweep_workers(cap: usize) -> usize {
     std::env::var("LIGHTNAS_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
+        .unwrap_or_else(|| hardware_threads().min(cap))
+}
+
+/// The machine's available parallelism: the figure every timing artifact
+/// records, because its thread-count bars cannot be read without it.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 impl Harness {
@@ -139,20 +145,113 @@ impl Harness {
     }
 }
 
-/// Saves an SVG chart under `results/<name>.svg` (creating the directory)
-/// and prints where it went. I/O failures are reported, not fatal — the
-/// text output is the primary artifact.
+/// Saves an SVG chart under `results/<name>.svg` through
+/// [`write_artifact`]. I/O failures are reported, not fatal — the text
+/// output is the primary artifact.
 pub fn save_figure(name: &str, chart: &plot::SvgPlot) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("[plot] cannot create {}: {e}", dir.display());
-        return;
+    let _ = write_artifact(format!("results/{name}.svg"), chart.render());
+}
+
+/// Writes one exhibit artifact (a `BENCH_*.json`, a results file, a
+/// chart), creating its parent directory, and logs the outcome on stderr.
+/// The result is returned so a driver can count a failed write; exhibits
+/// ignore it, because their stdout is the primary record.
+pub fn write_artifact(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    let path = path.as_ref();
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    match &written {
+        Ok(()) => eprintln!("[artifact] wrote {}", path.display()),
+        Err(e) => eprintln!("[artifact] failed to write {}: {e}", path.display()),
     }
-    let path = dir.join(format!("{name}.svg"));
-    match chart.save(&path) {
-        Ok(()) => eprintln!("[plot] wrote {}", path.display()),
-        Err(e) => eprintln!("[plot] failed to write {}: {e}", path.display()),
+    written
+}
+
+/// The exhibits' one timing rule. Each of `lanes` lanes is one
+/// configuration; `pass(lane)` runs it once and returns the span it
+/// measured itself (microseconds, or any unit where lower is better), so
+/// set-up it does before starting its clock stays untimed. Round 0 runs
+/// every lane as a warm-up (pools grow, the fast tier autotunes) and is
+/// discarded; then `rounds` rounds run every lane once, lane by lane, and
+/// each lane keeps its lowest reading. Interleaving makes slow machine
+/// drift (frequency, co-tenants) land on every lane instead of whichever
+/// ran during a quiet window.
+pub fn best_of(rounds: usize, lanes: usize, mut pass: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; lanes];
+    for round in 0..=rounds {
+        for (lane, b) in best.iter_mut().enumerate() {
+            let span = pass(lane);
+            if round > 0 {
+                *b = b.min(span);
+            }
+        }
     }
+    best
+}
+
+/// Wall time of one call of `f`, in microseconds; the result goes through
+/// [`std::hint::black_box`] so the work cannot be optimized away.
+pub fn span_us<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// FNV-1a over the bits of `data`: the exhibits' bit-identity fingerprint.
+pub fn fnv_f32(data: &[f32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in data {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A `BENCH_*.json` document in the one layout every committed file
+/// shares: a 2-space-indented object whose array values hold one inline
+/// object per line. It owns the layout only — each value arrives already
+/// rendered, because each file fixes its keys' precision.
+#[derive(Debug, Default)]
+pub struct BenchJson {
+    fields: Vec<String>,
+}
+
+impl BenchJson {
+    /// Appends `"key": value`, with `value` already rendered as JSON.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.fields.push(format!("\"{key}\": {value}"));
+        self
+    }
+
+    /// Appends `"key": [...]` with one inline object per row, each row a
+    /// list of `(key, rendered value)` pairs.
+    #[must_use]
+    pub fn rows(mut self, key: &str, rows: &[Vec<(&str, String)>]) -> Self {
+        let lines: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                let pairs: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+                format!("    {{{}}}", pairs.join(", "))
+            })
+            .collect();
+        self.fields
+            .push(format!("\"{key}\": [\n{}\n  ]", lines.join(",\n")));
+        self
+    }
+
+    /// The document, ending in a newline.
+    pub fn render(&self) -> String {
+        format!("{{\n  {}\n}}\n", self.fields.join(",\n  "))
+    }
+}
+
+/// `s` as a JSON string literal.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 /// Prints one acceptance verdict line (`  label ..... YES (detail)`) and
@@ -166,6 +265,19 @@ pub fn verdict(label: &str, pass: bool, detail: &str) -> bool {
         println!("  {label} {dots} {word} ({detail})");
     }
     pass
+}
+
+/// Turns an exhibit's folded [`verdict`]s into its exit code. A failure
+/// says so on stdout, after the verdict lines that explain it; callers
+/// write their artifacts first, so a failing run still leaves its
+/// evidence.
+pub fn exit_code(exhibit: &str, pass: bool) -> ExitCode {
+    if pass {
+        return ExitCode::SUCCESS;
+    }
+    println!();
+    println!("{exhibit}: FAILED — at least one acceptance bar missed");
+    ExitCode::FAILURE
 }
 
 /// Renders an aligned plain-text table.
@@ -309,6 +421,68 @@ mod tests {
     fn ascii_chart_contains_points() {
         let c = ascii_chart("t", &[(0.0, 0.0), (1.0, 1.0)], 20, 5);
         assert_eq!(c.matches('*').count(), 2);
+    }
+
+    #[test]
+    fn bench_json_renders_the_committed_layout() {
+        let rows = vec![
+            vec![
+                ("device", json_str("phone-a76")),
+                ("generation", "2".into()),
+            ],
+            vec![("device", json_str("edge-tpu")), ("generation", "1".into())],
+        ];
+        let json = BenchJson::default()
+            .field("seed", 990951)
+            .field("quick", false)
+            .rows("devices", &rows)
+            .field("warm_samples_to_promote", "null")
+            .field("worst_rmse_ratio", format!("{:.6}", 0.487095))
+            .field("label", json_str("a \"quoted\" name"))
+            .render();
+        assert_eq!(
+            json,
+            r#"{
+  "seed": 990951,
+  "quick": false,
+  "devices": [
+    {"device": "phone-a76", "generation": 2},
+    {"device": "edge-tpu", "generation": 1}
+  ],
+  "warm_samples_to_promote": null,
+  "worst_rmse_ratio": 0.487095,
+  "label": "a \"quoted\" name"
+}
+"#
+        );
+    }
+
+    #[test]
+    fn best_of_interleaves_lanes_and_discards_the_warm_up_round() {
+        // Round 0 reads 1 on every lane, lower than anything after it, so
+        // it would win if it counted.
+        let mut calls = Vec::new();
+        let best = best_of(3, 2, |lane| {
+            let round = calls.iter().filter(|&&l| l == lane).count();
+            calls.push(lane);
+            if round == 0 {
+                1.0
+            } else {
+                10.0 * (lane + 1) as f64 + round as f64
+            }
+        });
+        assert_eq!(calls, [0, 1, 0, 1, 0, 1, 0, 1]);
+        assert_eq!(best, [11.0, 21.0]);
+    }
+
+    #[test]
+    fn write_artifact_creates_a_missing_parent_directory() {
+        let dir = std::env::temp_dir().join(format!("lightnas-artifact-{}", std::process::id()));
+        let path = dir.join("nested").join("BENCH_test.json");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_artifact(&path, "{}\n").expect("write under a fresh directory");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! scatter/line series.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// How a series is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,15 +226,6 @@ impl SvgPlot {
         }
         svg.push_str("</svg>");
         svg
-    }
-
-    /// Renders and writes the chart to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error (e.g. a missing parent directory).
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.render())
     }
 }
 

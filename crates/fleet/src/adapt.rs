@@ -50,8 +50,7 @@ use std::collections::VecDeque;
 use lightnas_predictor::BatchPredictor;
 use lightnas_runtime::{events, Field, JobScheduler, Telemetry};
 use lightnas_serve::{
-    audit_is_well_formed, AdaptConfig, AdaptEvent, AdaptationController, Clock, DeviceGeneration,
-    ModelSlot,
+    AdaptConfig, AdaptEvent, AdaptationController, AuditCarry, Clock, DeviceGeneration, ModelSlot,
 };
 
 fn us(d: std::time::Duration) -> u64 {
@@ -144,42 +143,37 @@ pub enum FleetAdaptEvent {
 ///
 /// 1. each device's projected [`AdaptEvent`] stream satisfies the
 ///    single-device [`audit_is_well_formed`] contract (no generation ever
-///    serves without a passing verdict, no rollback without a promotion);
+///    serves without a passing verdict, no rollback without a promotion),
+///    checked as it goes by one [`AuditCarry`] per device;
 /// 2. per device, pool admissions never exceed queue entries (nothing
 ///    trains that never queued).
+///
+/// [`audit_is_well_formed`]: lightnas_serve::audit_is_well_formed
 pub fn fleet_audit_is_well_formed(devices: usize, audit: &[FleetAdaptEvent]) -> bool {
     let mut queued = vec![0u64; devices];
     let mut admitted = vec![0u64; devices];
-    let mut per_device: Vec<Vec<AdaptEvent>> = vec![Vec::new(); devices];
-    for entry in audit {
-        match entry {
-            FleetAdaptEvent::Device { device, event, .. } => {
-                if *device >= devices {
-                    return false;
-                }
-                per_device[*device].push(event.clone());
-            }
-            FleetAdaptEvent::RetrainQueued { device, .. } => {
-                if *device >= devices {
-                    return false;
-                }
-                queued[*device] += 1;
-            }
-            FleetAdaptEvent::RetrainAdmitted { device, .. } => {
-                if *device >= devices || admitted[*device] >= queued[*device] {
-                    return false;
-                }
-                admitted[*device] += 1;
-            }
-            FleetAdaptEvent::WarmStartArmed { source, target, .. } => {
-                if *source >= devices || *target >= devices {
-                    return false;
-                }
-            }
-            FleetAdaptEvent::PoolStarved { .. } => {}
+    let mut carries = vec![AuditCarry::default(); devices];
+    audit.iter().all(|entry| match *entry {
+        FleetAdaptEvent::Device {
+            device, ref event, ..
+        } => device < devices && carries[device].step(event),
+        FleetAdaptEvent::RetrainQueued { device, .. } if device < devices => {
+            queued[device] += 1;
+            true
         }
-    }
-    per_device.iter().all(|a| audit_is_well_formed(a))
+        FleetAdaptEvent::RetrainAdmitted { device, .. }
+            if device < devices && admitted[device] < queued[device] =>
+        {
+            admitted[device] += 1;
+            true
+        }
+        FleetAdaptEvent::WarmStartArmed { source, target, .. } => {
+            source < devices && target < devices
+        }
+        FleetAdaptEvent::PoolStarved { .. } => true,
+        // An out-of-range device, or an admission past the queued count.
+        _ => false,
+    })
 }
 
 /// The cold trainer: `(device, incumbent, window encodings, window

@@ -13,12 +13,16 @@
 //!   every admission wait stays bounded;
 //! * a warm-started retrain and a cold one converge to rank-compatible
 //!   predictors (Spearman ≥ 0.9 over a probe set) — the warm start is a
-//!   head start, not a different answer.
+//!   head start, not a different answer;
+//! * the fleet audit checker, which steps one carry per device, agrees
+//!   with checking each device's projected event stream on its own, on
+//!   random traces with out-of-range devices and admissions past the
+//!   queued count.
 
 use proptest::prelude::*;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
-use lightnas_serve::{AdaptConfig, ModelSlot, VirtualClock};
+use lightnas_serve::{audit_is_well_formed, AdaptConfig, AdaptEvent, ModelSlot, VirtualClock};
 
 use lightnas_fleet::{
     fleet_audit_is_well_formed, spearman, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
@@ -294,5 +298,132 @@ proptest! {
             "warm and cold predictors disagree on ranks: rho = {}",
             rho
         );
+    }
+}
+
+/// The fleet checker as it first stood, kept as the oracle: project every
+/// device's events into its own trail, then check each trail whole.
+fn projected_oracle(devices: usize, audit: &[FleetAdaptEvent]) -> bool {
+    let mut queued = vec![0u64; devices];
+    let mut admitted = vec![0u64; devices];
+    let mut per_device: Vec<Vec<AdaptEvent>> = vec![Vec::new(); devices];
+    for entry in audit {
+        match entry {
+            FleetAdaptEvent::Device { device, event, .. } => {
+                if *device >= devices {
+                    return false;
+                }
+                per_device[*device].push(event.clone());
+            }
+            FleetAdaptEvent::RetrainQueued { device, .. } => {
+                if *device >= devices {
+                    return false;
+                }
+                queued[*device] += 1;
+            }
+            FleetAdaptEvent::RetrainAdmitted { device, .. } => {
+                if *device >= devices || admitted[*device] >= queued[*device] {
+                    return false;
+                }
+                admitted[*device] += 1;
+            }
+            FleetAdaptEvent::WarmStartArmed { source, target, .. } => {
+                if *source >= devices || *target >= devices {
+                    return false;
+                }
+            }
+            FleetAdaptEvent::PoolStarved { .. } => {}
+        }
+    }
+    per_device.iter().all(|a| audit_is_well_formed(a))
+}
+
+/// One fleet audit entry. `kind` picks the variant, `code` the device
+/// event (staleness, retrain, passing verdict, failing verdict,
+/// promotion, rollback), and `dev` the device: `dev == 15` names the
+/// first device past the fleet, so about one entry in sixteen is out of
+/// range. A warm start's target is `code`'s device, or past the fleet
+/// when `code` is 5.
+fn fleet_entry(devices: usize, kind: u8, dev: usize, code: u8, at_tick: u64) -> FleetAdaptEvent {
+    let device = if dev == 15 { devices } else { dev % devices };
+    let event = match code {
+        0 => AdaptEvent::StalenessDetected {
+            at_sample: at_tick,
+            rmse_ratio: 2.0,
+            spearman: 0.5,
+        },
+        1 => AdaptEvent::RetrainStarted {
+            at_sample: at_tick,
+            window: 16,
+        },
+        2 | 3 => AdaptEvent::ShadowValidated {
+            at_sample: at_tick,
+            shadow_rmse: 1.0,
+            incumbent_rmse: 2.0,
+            passed: code == 2,
+        },
+        4 => AdaptEvent::Promoted {
+            at_sample: at_tick,
+            generation: at_tick,
+        },
+        _ => AdaptEvent::RolledBack {
+            at_sample: at_tick,
+            demoted: at_tick,
+            generation: at_tick + 1,
+            probation_rmse: 3.0,
+            validated_rmse: 1.0,
+        },
+    };
+    match kind {
+        // Device events are the most common entries in a real trail.
+        0..=3 => FleetAdaptEvent::Device {
+            device,
+            at_tick,
+            event,
+        },
+        4 => FleetAdaptEvent::RetrainQueued { device, at_tick },
+        5 => FleetAdaptEvent::RetrainAdmitted {
+            device,
+            at_tick,
+            waited_ticks: 1,
+        },
+        6 => FleetAdaptEvent::WarmStartArmed {
+            source: device,
+            target: if code == 5 {
+                devices
+            } else {
+                usize::from(code) % devices
+            },
+            at_tick,
+        },
+        _ => FleetAdaptEvent::PoolStarved { at_tick, queued: 1 },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random fleet traces, every prefix length: the per-device carries
+    /// give the projection oracle's verdict.
+    #[test]
+    fn fleet_checker_matches_the_per_device_projection(
+        devices in 1usize..4,
+        kinds in proptest::collection::vec(0u8..8, 24),
+        devs in proptest::collection::vec(0usize..16, 24),
+        codes in proptest::collection::vec(0u8..6, 24),
+    ) {
+        let trace: Vec<FleetAdaptEvent> = (0..kinds.len())
+            .map(|i| fleet_entry(devices, kinds[i], devs[i], codes[i], i as u64))
+            .collect();
+        for len in 0..=trace.len() {
+            let prefix = &trace[..len];
+            prop_assert_eq!(
+                fleet_audit_is_well_formed(devices, prefix),
+                projected_oracle(devices, prefix),
+                "devices {}, prefix {}",
+                devices,
+                len
+            );
+        }
     }
 }

@@ -574,19 +574,30 @@ pub struct AuditCarry {
 }
 
 impl AuditCarry {
-    /// Folds one event about to be dropped into the carry, advancing the
-    /// checker state exactly as [`audit_is_well_formed_with`] would have.
-    fn absorb(&mut self, event: &AdaptEvent) {
+    /// Advances the checker state by one event and reports whether the
+    /// event was allowed there: a promotion needs a pending passing
+    /// verdict, a rollback an earlier promotion not yet rolled back. The
+    /// state advances either way. [`audit_is_well_formed_with`] is this
+    /// step folded over a trail; `dropped` is left to the caller.
+    pub fn step(&mut self, event: &AdaptEvent) -> bool {
         match event {
-            AdaptEvent::StalenessDetected { .. } | AdaptEvent::RetrainStarted { .. } => {}
-            AdaptEvent::ShadowValidated { passed, .. } => self.passed_verdict_pending = *passed,
+            AdaptEvent::StalenessDetected { .. } | AdaptEvent::RetrainStarted { .. } => true,
+            AdaptEvent::ShadowValidated { passed, .. } => {
+                self.passed_verdict_pending = *passed;
+                true
+            }
             AdaptEvent::Promoted { .. } => {
+                let allowed = self.passed_verdict_pending;
                 self.passed_verdict_pending = false;
                 self.promotions += 1;
+                allowed
             }
-            AdaptEvent::RolledBack { .. } => self.rollbacks += 1,
+            AdaptEvent::RolledBack { .. } => {
+                let allowed = self.rollbacks < self.promotions;
+                self.rollbacks += 1;
+                allowed
+            }
         }
-        self.dropped += 1;
     }
 }
 
@@ -604,29 +615,8 @@ pub fn audit_is_well_formed(audit: &[AdaptEvent]) -> bool {
 /// ([`AdaptationController::audit_carry`]), so well-formedness keeps holding
 /// across the cap boundary instead of failing on an orphaned suffix.
 pub fn audit_is_well_formed_with(carry: &AuditCarry, audit: &[AdaptEvent]) -> bool {
-    let mut passed_verdict_pending = carry.passed_verdict_pending;
-    let mut promotions = carry.promotions;
-    let mut rollbacks = carry.rollbacks;
-    for event in audit {
-        match event {
-            AdaptEvent::StalenessDetected { .. } | AdaptEvent::RetrainStarted { .. } => {}
-            AdaptEvent::ShadowValidated { passed, .. } => passed_verdict_pending = *passed,
-            AdaptEvent::Promoted { .. } => {
-                if !passed_verdict_pending {
-                    return false;
-                }
-                passed_verdict_pending = false;
-                promotions += 1;
-            }
-            AdaptEvent::RolledBack { .. } => {
-                if rollbacks >= promotions {
-                    return false;
-                }
-                rollbacks += 1;
-            }
-        }
-    }
-    true
+    let mut state = *carry;
+    audit.iter().all(|event| state.step(event))
 }
 
 #[derive(Debug)]
@@ -827,7 +817,8 @@ impl<'a, P: BatchPredictor> AdaptationController<'a, P> {
             // folding each evicted event into the carry so the retained
             // suffix still checks out against the full-history invariant.
             for dropped in self.audit.drain(..self.audit_cap / 2) {
-                self.carry.absorb(&dropped);
+                self.carry.step(&dropped);
+                self.carry.dropped += 1;
             }
         }
         self.audit.push(event);

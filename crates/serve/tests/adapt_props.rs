@@ -14,14 +14,17 @@
 //!   shadow takes to arrive;
 //! * a non-finite latency reading is rejected before it touches the
 //!   controller, wherever it lands, so it can neither panic the drift check
-//!   nor enter a window.
+//!   nor enter a window;
+//! * the audit checker is one state machine: cutting a trail anywhere and
+//!   carrying the prefix's [`AuditCarry`] into the suffix gives the whole
+//!   trail's verdict.
 
 use proptest::prelude::*;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
 use lightnas_serve::{
-    audit_is_well_formed, AdaptConfig, AdaptEvent, AdaptationController, DriftMonitor, ModelSlot,
-    VirtualClock,
+    audit_is_well_formed, audit_is_well_formed_with, AdaptConfig, AdaptEvent, AdaptationController,
+    AuditCarry, DriftMonitor, ModelSlot, VirtualClock,
 };
 
 /// Deterministic per-index value in [1, 2) — the "architecture" signal.
@@ -315,5 +318,69 @@ proptest! {
         }
         prop_assert_eq!(ctl.samples(), 160);
         prop_assert_eq!(ctl.rejected_samples(), bad.len() as u64);
+    }
+}
+
+/// One audit event from a code in `0..6`: staleness, retrain, a passing
+/// verdict, a failing verdict, a promotion, a rollback.
+fn audit_event(code: u8, at_sample: u64) -> AdaptEvent {
+    match code {
+        0 => AdaptEvent::StalenessDetected {
+            at_sample,
+            rmse_ratio: 2.0,
+            spearman: 0.5,
+        },
+        1 => AdaptEvent::RetrainStarted {
+            at_sample,
+            window: 32,
+        },
+        2 | 3 => AdaptEvent::ShadowValidated {
+            at_sample,
+            shadow_rmse: 1.0,
+            incumbent_rmse: 2.0,
+            passed: code == 2,
+        },
+        4 => AdaptEvent::Promoted {
+            at_sample,
+            generation: at_sample,
+        },
+        _ => AdaptEvent::RolledBack {
+            at_sample,
+            demoted: at_sample,
+            generation: at_sample + 1,
+            probation_rmse: 3.0,
+            validated_rmse: 1.0,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Seeded random trails, well-formed or not: at every cut whose prefix
+    /// passes, the carry after the prefix checks the suffix to the whole
+    /// trail's verdict.
+    #[test]
+    fn carried_prefix_checks_the_suffix_to_the_whole_verdict(
+        codes in proptest::collection::vec(0u8..6, 24),
+        len in 0usize..=24,
+    ) {
+        let trail: Vec<AdaptEvent> = codes[..len]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| audit_event(c, i as u64))
+            .collect();
+        let whole = audit_is_well_formed(&trail);
+        for cut in 0..=trail.len() {
+            let (prefix, suffix) = trail.split_at(cut);
+            if !audit_is_well_formed(prefix) {
+                continue;
+            }
+            let mut carry = AuditCarry::default();
+            for event in prefix {
+                prop_assert!(carry.step(event));
+            }
+            prop_assert_eq!(audit_is_well_formed_with(&carry, suffix), whole, "cut {}", cut);
+        }
     }
 }
