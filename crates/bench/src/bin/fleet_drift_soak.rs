@@ -407,6 +407,7 @@ fn run_soak(
         degraded: 0,
         rejected_overloaded: 0,
         rejected_draining: 0,
+        rejected_malformed: 0,
         deadline_expired: 0,
         batches: 0,
         model_generation: 0,

@@ -5,6 +5,11 @@
 //! identical result. Telemetry for the concurrent run lands under
 //! `results/runs/runtime_sweep.jsonl`.
 //!
+//! Stdout holds only what the code decides, so two runs print the same
+//! bytes. The wall-clock line and how many jobs the shared epoch budget
+//! interrupted (which depends on how far the 4-worker schedule got) go to
+//! stderr.
+//!
 //! ```text
 //! cargo run --release -p lightnas-bench --bin runtime_sweep
 //! ```
@@ -102,8 +107,8 @@ fn main() -> ExitCode {
         "scheduler(4 workers) == serial searches: {}",
         if four_ok { "YES" } else { "NO" }
     );
-    println!(
-        "\nwall-clock: serial {:.2?} | 1 worker {:.2?} | 4 workers {:.2?} (speedup vs 1 worker: {:.2}x on {} cpus)",
+    eprintln!(
+        "wall-clock: serial {:.2?} | 1 worker {:.2?} | 4 workers {:.2?} (speedup vs 1 worker: {:.2}x on {} cpus)",
         serial_wall,
         one.wall,
         four.wall,
@@ -111,7 +116,7 @@ fn main() -> ExitCode {
         hardware_threads(),
     );
     println!(
-        "shared predictor cache (4-worker run): {} hits / {} misses ({:.1}% hit rate, {} jobs)",
+        "\nshared predictor cache (4-worker run): {} hits / {} misses ({:.1}% hit rate, {} jobs)",
         four.cache.hits,
         four.cache.misses,
         100.0 * four.cache.hit_rate(),
@@ -132,8 +137,8 @@ fn main() -> ExitCode {
     };
     let killed = run_sweep(&h.oracle, &h.predictor, &jobs, &killed_opts, None);
     let interrupted = killed.statuses.len() - killed.completed().len();
-    println!(
-        "\nkill/resume: budget of {budget} epochs interrupted {interrupted}/{} jobs mid-sweep",
+    eprintln!(
+        "kill/resume: budget of {budget} epochs interrupted {interrupted}/{} jobs mid-sweep",
         jobs.len()
     );
     let resumed = run_sweep(
@@ -146,9 +151,10 @@ fn main() -> ExitCode {
         },
         None,
     );
-    let resume_ok = resumed.all_completed() && fingerprints(&resumed) == serial;
+    // A budget that interrupted nothing would check no resume at all.
+    let resume_ok = interrupted > 0 && resumed.all_completed() && fingerprints(&resumed) == serial;
     println!(
-        "resumed sweep == uninterrupted serial results: {}",
+        "\nkill/resume (budget of {budget} epochs): resumed sweep == uninterrupted serial results: {}",
         if resume_ok { "YES" } else { "NO" }
     );
     let _ = std::fs::remove_dir_all(&ckpt_dir);

@@ -22,8 +22,8 @@
 //! ```
 //!
 //! On top of the strict columns, the *fastmode* columns run the opt-in
-//! fast kernel tier (`KernelMode::Fast`: FMA contractions, per-thread
-//! partial sums, tile autotuning) at 1 and 4 threads. The fast tier gives
+//! fast kernel tier (`KernelMode::Fast`: FMA contractions on the tiles the
+//! strict size rule picks, per-thread partial sums) at 1 and 4 threads. The fast tier gives
 //! up bit-identity, so its gate is the documented tolerance contract
 //! instead: final weights after the step sequence must land within
 //! `1e-3 · (max |w| + 1)` of the strict bits — the same bound the
@@ -307,9 +307,9 @@ fn bench_workload(w: &mut dyn Workload, steps: usize, rounds: usize) -> Row {
     }
 
     // --- timing, on the shared rule: the six configurations run in
-    // interleaved rounds after a warm-up round (pools grow, fast tiles
-    // autotune). State is rebuilt before every pass, outside the timed
-    // span; every regime runs the identical arithmetic per step.
+    // interleaved rounds after a warm-up round (pools grow). State is
+    // rebuilt before every pass, outside the timed span; every regime runs
+    // the identical arithmetic per step.
     #[derive(Clone, Copy)]
     struct Config {
         mode: KernelMode,
@@ -424,7 +424,7 @@ fn main() -> ExitCode {
     );
     println!(
         "Training-step throughput: SIMD micro-kernel + reused tape vs portable + fresh tape,\n\
-         plus the opt-in fast tier (FMA + per-thread partial sums + tile autotuning)\n\
+         plus the opt-in fast tier (FMA + per-thread partial sums)\n\
          (strict columns bit-identity-verified; fastmode columns tolerance-verified;\n\
          best of {rounds} interleaved rounds)\n"
     );

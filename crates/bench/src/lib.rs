@@ -173,7 +173,7 @@ pub fn write_artifact(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io:
 /// configuration; `pass(lane)` runs it once and returns the span it
 /// measured itself (microseconds, or any unit where lower is better), so
 /// set-up it does before starting its clock stays untimed. Round 0 runs
-/// every lane as a warm-up (pools grow, the fast tier autotunes) and is
+/// every lane as a warm-up (pools grow, caches fill) and is
 /// discarded; then `rounds` rounds run every lane once, lane by lane, and
 /// each lane keeps its lowest reading. Interleaving makes slow machine
 /// drift (frequency, co-tenants) land on every lane instead of whichever

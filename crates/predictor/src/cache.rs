@@ -28,7 +28,7 @@ use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
-use lightnas_space::{Architecture, NUM_OPS, SEARCHABLE_LAYERS, TOTAL_LAYERS};
+use lightnas_space::{parse_encoding, Architecture, SEARCHABLE_LAYERS};
 
 use crate::{EnsemblePredictor, MlpPredictor};
 
@@ -82,33 +82,15 @@ impl<P: Predictor + ?Sized> Predictor for &P {
     }
 }
 
-/// Packs a one-hot `ᾱ` encoding into a single `u64` cache key: the argmax
-/// operator index of each searchable row, 3 bits per slot (`K = 7 < 8`).
-///
-/// Equals [`architecture_key`] of the decoded architecture.
-///
-/// # Panics
-///
-/// Panics if `encoding.len() != TOTAL_LAYERS * NUM_OPS`.
-pub fn encoding_key(encoding: &[f32]) -> u64 {
-    assert_eq!(
-        encoding.len(),
-        TOTAL_LAYERS * NUM_OPS,
-        "encoding must have {} values",
-        TOTAL_LAYERS * NUM_OPS
-    );
-    let mut key = 0u64;
-    for l in 1..TOTAL_LAYERS {
-        let row = &encoding[l * NUM_OPS..(l + 1) * NUM_OPS];
-        let mut best = 0usize;
-        for (k, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = k;
-            }
-        }
-        key = (key << 3) | best as u64;
-    }
-    key
+/// The cache key of an encoding that is an architecture's: the operator
+/// index of each searchable row, 3 bits per slot (`K = 7 < 8`). `Some`
+/// exactly when [`parse_encoding`] accepts the encoding, and then equal to
+/// [`architecture_key`] of the decoded architecture; `None` for any other
+/// vector (a wrong width, a fractional relaxation, a NaN), which has no
+/// architecture to share a key with.
+pub fn encoding_key(encoding: &[f32]) -> Option<u64> {
+    let ops = parse_encoding(encoding).ok()?;
+    Some(ops.iter().fold(0u64, |key, &op| (key << 3) | u64::from(op)))
 }
 
 /// The cache key of an architecture, without materializing its encoding.
@@ -598,7 +580,12 @@ impl<P: crate::BatchPredictor> crate::BatchPredictor for CachedPredictor<'_, P> 
         let mut pending: Vec<(u64, usize)> = Vec::new();
         let mut seen = HashSet::new();
         for (i, enc) in encodings.iter().enumerate() {
-            let key = encoding_key(enc);
+            let Some(key) = encoding_key(enc) else {
+                // Not an architecture's encoding: no key, so neither
+                // stored nor counted (see `predict_encoding`).
+                out[i] = self.inner.predict_encoding(enc);
+                continue;
+            };
             let shard = self.shard_of(key);
             let cached = {
                 let map = rlock(&shard.predictions);
@@ -689,9 +676,14 @@ impl<P: crate::BatchPredictor> crate::BatchPredictor for CachedPredictor<'_, P> 
 }
 
 impl<P: Predictor> Predictor for CachedPredictor<'_, P> {
+    /// Memoized by [`encoding_key`]. An encoding with no key is no
+    /// architecture's, so the inner predictor answers it each time, and the
+    /// answer is neither stored nor counted as a hit or a miss.
     fn predict_encoding(&self, encoding: &[f32]) -> f64 {
-        let key = encoding_key(encoding);
-        self.predict_keyed(key, || self.inner.predict_encoding(encoding))
+        match encoding_key(encoding) {
+            Some(key) => self.predict_keyed(key, || self.inner.predict_encoding(encoding)),
+            None => self.inner.predict_encoding(encoding),
+        }
     }
 
     fn predict(&self, arch: &Architecture) -> f64 {
@@ -700,8 +692,12 @@ impl<P: Predictor> Predictor for CachedPredictor<'_, P> {
         self.predict_keyed(architecture_key(arch), || self.inner.predict(arch))
     }
 
+    /// Memoized like [`predict_encoding`](Self::predict_encoding), in a
+    /// map of its own; an encoding with no key goes to the inner predictor.
     fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        let key = encoding_key(encoding);
+        let Some(key) = encoding_key(encoding) else {
+            return self.inner.gradient(encoding);
+        };
         let shard = self.shard_of(key);
         single_flight(
             &shard.gradients,
@@ -741,7 +737,7 @@ mod tests {
         let space = SearchSpace::standard();
         for seed in 0..32 {
             let arch = Architecture::random(&space, seed);
-            assert_eq!(architecture_key(&arch), encoding_key(&arch.encode()));
+            assert_eq!(Some(architecture_key(&arch)), encoding_key(&arch.encode()));
         }
     }
 
@@ -833,6 +829,67 @@ mod tests {
         let stats = cached.stats();
         assert_eq!(stats.misses, 6);
         assert_eq!(stats.hits, 26);
+    }
+
+    /// `one_hot` relaxed to a fractional encoding with the same row-wise
+    /// argmax: 0.7 on each row's one, 0.05 on the rest.
+    fn relaxed(one_hot: &[f32]) -> Vec<f32> {
+        one_hot
+            .iter()
+            .map(|&v| if v == 1.0 { 0.7 } else { 0.05 })
+            .collect()
+    }
+
+    #[test]
+    fn fractional_predictions_neither_hit_nor_poison_the_cache() {
+        use crate::{BatchPredictor, LutPredictor};
+        let space = SearchSpace::standard();
+        let lut = LutPredictor::build(&Xavier::maxn(), &space);
+        let one_hot = Architecture::random(&space, 7).encode();
+        let fractional = relaxed(&one_hot);
+        let (want_one_hot, want_fractional) = (
+            lut.predict_encoding(&one_hot),
+            lut.predict_encoding(&fractional),
+        );
+        assert_ne!(want_one_hot, want_fractional, "the LUT is linear");
+        assert_eq!(encoding_key(&fractional), None);
+        // One-hot first: the fractional query must not read its entry.
+        let cached = CachedPredictor::new(&lut);
+        assert_eq!(cached.predict_encoding(&one_hot), want_one_hot);
+        assert_eq!(cached.predict_encoding(&fractional), want_fractional);
+        let batch = cached.predict_encodings(&[fractional.clone(), one_hot.clone()]);
+        assert_eq!(batch, vec![want_fractional, want_one_hot]);
+        assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cached.cached_predictions(), 1);
+        // Fractional first: the one-hot entry must be the one-hot value.
+        let cached = CachedPredictor::new(&lut);
+        assert_eq!(cached.predict_encoding(&fractional), want_fractional);
+        assert_eq!(
+            cached.predict_encodings(std::slice::from_ref(&fractional)),
+            vec![want_fractional]
+        );
+        assert_eq!(cached.stats(), CacheStats::default(), "nothing counted");
+        assert_eq!(cached.cached_predictions(), 0, "nothing stored");
+        assert_eq!(cached.predict_encoding(&one_hot), want_one_hot);
+        assert_eq!(cached.stats(), CacheStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn fractional_gradients_neither_hit_nor_poison_the_cache() {
+        let p = small_predictor();
+        let one_hot = Architecture::random(&SearchSpace::standard(), 7).encode();
+        let fractional = relaxed(&one_hot);
+        let (want_one_hot, want_fractional) = (p.gradient(&one_hot), p.gradient(&fractional));
+        assert_ne!(want_one_hot, want_fractional);
+        let cached = CachedPredictor::new(&p);
+        assert_eq!(Predictor::gradient(&cached, &one_hot), want_one_hot);
+        assert_eq!(Predictor::gradient(&cached, &fractional), want_fractional);
+        assert_eq!(cached.stats(), CacheStats { hits: 0, misses: 1 });
+        let cached = CachedPredictor::new(&p);
+        assert_eq!(Predictor::gradient(&cached, &fractional), want_fractional);
+        assert_eq!(cached.cached_gradients(), 0, "nothing stored");
+        assert_eq!(Predictor::gradient(&cached, &one_hot), want_one_hot);
+        assert_eq!(cached.stats(), CacheStats { hits: 0, misses: 1 });
     }
 
     #[test]

@@ -52,5 +52,8 @@ pub use checkpoint::{CheckpointError, WeightPrecision};
 pub use dataset::{Metric, MetricDataset};
 pub use ensemble::EnsemblePredictor;
 pub use fallback::{DegradeCause, FallbackPredictor};
+/// The encoding parser [`encoding_key`] keys by, for callers that take
+/// encodings from outside (the serving front door).
+pub use lightnas_space::{parse_encoding, DecodeError};
 pub use lut::LutPredictor;
 pub use mlp::{MlpPredictor, TrainConfig};

@@ -5,6 +5,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use lightnas_predictor::DecodeError;
+
 /// Why the service refused (or failed) a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -28,6 +30,9 @@ pub enum ServeError {
     /// The service is draining for shutdown and admits nothing new.
     /// Everything admitted *before* the drain began still gets served.
     Draining,
+    /// The request's encoding is no architecture's: it failed
+    /// `parse_encoding` before admission and never reaches a batch.
+    Malformed(DecodeError),
 }
 
 impl fmt::Display for ServeError {
@@ -43,6 +48,7 @@ impl fmt::Display for ServeError {
                 now.as_secs_f64() * 1e3
             ),
             ServeError::Draining => write!(f, "service is draining"),
+            ServeError::Malformed(e) => write!(f, "malformed encoding: {e}"),
         }
     }
 }
@@ -56,6 +62,7 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::Deadline { .. } => "deadline",
             ServeError::Draining => "draining",
+            ServeError::Malformed(_) => "malformed",
         }
     }
 }
@@ -79,5 +86,8 @@ mod tests {
         };
         assert!(d.to_string().contains("5.000ms"), "{d}");
         assert_eq!(ServeError::Draining.tag(), "draining");
+        let m = ServeError::Malformed(DecodeError::Length(3));
+        assert_eq!(m.tag(), "malformed");
+        assert!(m.to_string().contains("got 3"), "{m}");
     }
 }

@@ -48,6 +48,10 @@ pub struct HealthSnapshot {
     pub rejected_overloaded: u64,
     /// Requests rejected because the service was draining.
     pub rejected_draining: u64,
+    /// Requests refused because their encoding is no architecture's.
+    /// Omitted from the wire form while 0, so snapshots of services that
+    /// never saw one keep their bytes.
+    pub rejected_malformed: u64,
     /// Requests whose deadline expired (at admission or in the queue).
     pub deadline_expired: u64,
     /// Coalesced batches processed.
@@ -97,6 +101,7 @@ impl HealthSnapshot {
                 + self.deadline_expired
                 + self.rejected_overloaded
                 + self.rejected_draining
+                + self.rejected_malformed
     }
 
     /// Renders the snapshot as one flat JSON object (the `/healthz` wire
@@ -125,6 +130,9 @@ impl HealthSnapshot {
             self.deadline_expired,
             self.batches,
         );
+        if self.rejected_malformed != 0 {
+            let _ = write!(out, ",\"rejected_malformed\":{}", self.rejected_malformed);
+        }
         if self.model_generation != 0
             || self.staleness_samples != 0
             || self.staleness_age != Duration::ZERO
@@ -192,6 +200,7 @@ mod tests {
             degraded: 1,
             rejected_overloaded: 2,
             rejected_draining: 0,
+            rejected_malformed: 0,
             deadline_expired: 1,
             batches: 3,
             model_generation: 0,
@@ -317,5 +326,26 @@ mod tests {
             ..base()
         };
         assert!(!short.fully_accounted());
+        let malformed = HealthSnapshot {
+            submitted: 11,
+            rejected_malformed: 1,
+            ..base()
+        };
+        assert!(malformed.fully_accounted());
+    }
+
+    #[test]
+    fn malformed_count_surfaces_only_when_nonzero() {
+        let snap = HealthSnapshot {
+            submitted: 12,
+            rejected_malformed: 2,
+            ..base()
+        };
+        let json = snap.to_json();
+        assert!(
+            json.ends_with(",\"batches\":3,\"rejected_malformed\":2}"),
+            "{json}"
+        );
+        assert!(!base().to_json().contains("malformed"));
     }
 }

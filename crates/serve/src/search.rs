@@ -575,6 +575,7 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             degraded: 0,
             rejected_overloaded: self.rejected_sweeps.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
+            rejected_malformed: 0,
             deadline_expired: 0,
             batches: 0,
             model_generation: 0,

@@ -4,9 +4,10 @@
 //! [`PredictorService`] is the front door a search driver (or anything else
 //! that wants latency estimates) talks to under load. The life of a request:
 //!
-//! 1. **Admission** ([`submit`](PredictorService::submit)): past-due
-//!    deadlines and over-watermark queues are rejected *at the door* with a
-//!    typed [`ServeError`] — never silently dropped.
+//! 1. **Admission** ([`submit`](PredictorService::submit)): encodings that
+//!    are no architecture's, past-due deadlines and over-watermark queues
+//!    are rejected *at the door* with a typed [`ServeError`] — never
+//!    silently dropped.
 //! 2. **Coalescing**: a worker pulls up to `max_batch` queued requests and
 //!    answers them in one [`BatchPredictor`] pass (bit-identical to the
 //!    scalar path, so batching changes throughput, never values).
@@ -32,7 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use lightnas_predictor::{BatchPredictor, DegradeCause, FallbackPredictor, Predictor};
+use lightnas_predictor::{
+    parse_encoding, BatchPredictor, DegradeCause, FallbackPredictor, Predictor,
+};
 use lightnas_runtime::{events, Field, Telemetry};
 
 use crate::adapt::AdaptStatus;
@@ -144,6 +147,8 @@ pub struct DrainReport {
     pub rejected_overloaded: u64,
     /// Rejections after the drain began.
     pub rejected_draining: u64,
+    /// Requests refused because their encoding is no architecture's.
+    pub rejected_malformed: u64,
 }
 
 impl DrainReport {
@@ -154,6 +159,7 @@ impl DrainReport {
                 + self.deadline_expired
                 + self.rejected_overloaded
                 + self.rejected_draining
+                + self.rejected_malformed
     }
 }
 
@@ -173,6 +179,7 @@ struct Counters {
     deadline_expired: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_draining: AtomicU64,
+    rejected_malformed: AtomicU64,
     batches: AtomicU64,
 }
 
@@ -264,12 +271,27 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
     ///
     /// # Errors
     ///
+    /// [`ServeError::Malformed`] when the encoding is no architecture's,
     /// [`ServeError::Overloaded`] past the priority's watermark,
     /// [`ServeError::Deadline`] when the request is already past due, and
     /// [`ServeError::Draining`] after [`drain`](Self::drain) began.
     pub fn submit(&self, req: Request) -> Result<u64, ServeError> {
         let now = self.clock.now();
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = parse_encoding(&req.encoding) {
+            self.counters
+                .rejected_malformed
+                .fetch_add(1, Ordering::Relaxed);
+            self.emit(
+                events::SERVE_REJECTED,
+                &[
+                    ("t_us", Field::U(us(now))),
+                    ("reason", Field::S("malformed".into())),
+                    ("priority", Field::S(req.priority.tag().into())),
+                ],
+            );
+            return Err(ServeError::Malformed(e));
+        }
         let deadline = req
             .deadline
             .or_else(|| self.config.default_deadline.map(|d| now + d));
@@ -324,7 +346,9 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
                         .counters
                         .rejected_draining
                         .fetch_add(1, Ordering::Relaxed),
-                    ServeError::Deadline { .. } => unreachable!("admission never returns Deadline"),
+                    ServeError::Deadline { .. } | ServeError::Malformed(_) => {
+                        unreachable!("admission returns only Overloaded or Draining")
+                    }
                 };
                 self.emit(
                     events::SERVE_REJECTED,
@@ -527,6 +551,7 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
             degraded: self.counters.degraded.load(Ordering::Relaxed),
             rejected_overloaded: self.counters.rejected_overloaded.load(Ordering::Relaxed),
             rejected_draining: self.counters.rejected_draining.load(Ordering::Relaxed),
+            rejected_malformed: self.counters.rejected_malformed.load(Ordering::Relaxed),
             deadline_expired: self.counters.deadline_expired.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
             // The query service answers through the breaker-guarded model
@@ -545,19 +570,23 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
             deadline_expired: self.counters.deadline_expired.load(Ordering::Relaxed),
             rejected_overloaded: self.counters.rejected_overloaded.load(Ordering::Relaxed),
             rejected_draining: self.counters.rejected_draining.load(Ordering::Relaxed),
+            rejected_malformed: self.counters.rejected_malformed.load(Ordering::Relaxed),
         };
-        self.emit(
-            events::SERVE_DRAINED,
-            &[
-                ("t_us", Field::U(us(self.clock.now()))),
-                ("submitted", Field::U(report.submitted)),
-                ("served", Field::U(report.served)),
-                ("degraded", Field::U(report.degraded)),
-                ("deadline_expired", Field::U(report.deadline_expired)),
-                ("rejected_overloaded", Field::U(report.rejected_overloaded)),
-                ("rejected_draining", Field::U(report.rejected_draining)),
-            ],
-        );
+        let mut fields = vec![
+            ("t_us", Field::U(us(self.clock.now()))),
+            ("submitted", Field::U(report.submitted)),
+            ("served", Field::U(report.served)),
+            ("degraded", Field::U(report.degraded)),
+            ("deadline_expired", Field::U(report.deadline_expired)),
+            ("rejected_overloaded", Field::U(report.rejected_overloaded)),
+            ("rejected_draining", Field::U(report.rejected_draining)),
+        ];
+        // Written only when nonzero, so a stream without malformed requests
+        // keeps its bytes.
+        if report.rejected_malformed > 0 {
+            fields.push(("rejected_malformed", Field::U(report.rejected_malformed)));
+        }
+        self.emit(events::SERVE_DRAINED, &fields);
         report
     }
 
@@ -657,6 +686,11 @@ mod tests {
         }
     }
 
+    /// A well-formed request encoding.
+    fn enc() -> Vec<f32> {
+        lightnas_space::Architecture::homogeneous(lightnas_space::Operator::from_index(0)).encode()
+    }
+
     fn tiny_config() -> ServiceConfig {
         ServiceConfig {
             admission: AdmissionPolicy {
@@ -680,7 +714,7 @@ mod tests {
         let (primary, lut, clock) = (Probe::healthy(), Lut, VirtualClock::new());
         let svc = PredictorService::new(&primary, &lut, &clock, tiny_config());
         for _ in 0..3 {
-            svc.submit(Request::new(vec![0.5; 4])).expect("admitted");
+            svc.submit(Request::new(enc())).expect("admitted");
         }
         assert_eq!(svc.pump(), 3, "one coalesced batch");
         let responses = svc.take_responses();
@@ -699,14 +733,14 @@ mod tests {
         let (primary, lut, clock) = (Probe::healthy(), Lut, VirtualClock::new());
         let svc = PredictorService::new(&primary, &lut, &clock, tiny_config());
         for _ in 0..2 {
-            svc.submit(Request::new(vec![0.0]).with_priority(Priority::Low))
+            svc.submit(Request::new(enc()).with_priority(Priority::Low))
                 .expect("below low mark");
         }
         let err = svc
-            .submit(Request::new(vec![0.0]).with_priority(Priority::Low))
+            .submit(Request::new(enc()).with_priority(Priority::Low))
             .expect_err("low mark reached");
         assert!(matches!(err, ServeError::Overloaded { depth: 2, limit: 2 }));
-        svc.submit(Request::new(vec![0.0]).with_priority(Priority::High))
+        svc.submit(Request::new(enc()).with_priority(Priority::High))
             .expect("high still admitted");
         assert_eq!(svc.health().rejected_overloaded, 1);
     }
@@ -717,12 +751,12 @@ mod tests {
         let svc = PredictorService::new(&primary, &lut, &clock, tiny_config());
         // Two NaN rows trip the breaker (trip_after = 2, no retries).
         for _ in 0..2 {
-            svc.submit(Request::new(vec![0.0])).expect("admitted");
+            svc.submit(Request::new(enc())).expect("admitted");
         }
         svc.pump();
         assert_eq!(svc.health().breaker, BreakerState::Open);
         let before = primary.calls();
-        svc.submit(Request::new(vec![0.0])).expect("admitted");
+        svc.submit(Request::new(enc())).expect("admitted");
         svc.pump();
         assert_eq!(
             primary.calls(),
@@ -739,7 +773,7 @@ mod tests {
         assert_eq!(svc.fallback().degraded_routed(), 1);
         // After the cool-down the next batch probes the primary again.
         clock.advance(Duration::from_millis(10));
-        svc.submit(Request::new(vec![0.0])).expect("admitted");
+        svc.submit(Request::new(enc())).expect("admitted");
         svc.pump();
         assert!(primary.calls() > before, "half-open probe reached primary");
         assert_eq!(
@@ -754,7 +788,7 @@ mod tests {
         let (primary, lut, clock) = (Probe::healthy(), Lut, VirtualClock::new());
         let svc = PredictorService::new(&primary, &lut, &clock, tiny_config());
         let id = svc
-            .submit(Request::new(vec![0.0]).with_deadline(Duration::from_millis(5)))
+            .submit(Request::new(enc()).with_deadline(Duration::from_millis(5)))
             .expect("admitted");
         clock.advance(Duration::from_millis(6));
         svc.pump();
@@ -767,7 +801,7 @@ mod tests {
         ));
         // Already-expired submissions are refused at the door.
         let err = svc
-            .submit(Request::new(vec![0.0]).with_deadline(Duration::from_millis(1)))
+            .submit(Request::new(enc()).with_deadline(Duration::from_millis(1)))
             .expect_err("past due");
         assert!(matches!(err, ServeError::Deadline { .. }));
         assert_eq!(svc.health().deadline_expired, 2);
@@ -778,13 +812,13 @@ mod tests {
         let (primary, lut, clock) = (Probe::healthy(), Lut, VirtualClock::new());
         let svc = PredictorService::new(&primary, &lut, &clock, tiny_config());
         for _ in 0..3 {
-            svc.submit(Request::new(vec![0.0])).expect("admitted");
+            svc.submit(Request::new(enc())).expect("admitted");
         }
         let report = svc.drain();
         assert_eq!(report.served, 3);
         assert!(report.fully_accounted(), "{report:?}");
         assert!(matches!(
-            svc.submit(Request::new(vec![0.0])),
+            svc.submit(Request::new(enc())),
             Err(ServeError::Draining)
         ));
         assert!(!svc.health().ready);
@@ -807,7 +841,7 @@ mod tests {
                     .map(|_| {
                         s.spawn(|| {
                             (0..100)
-                                .filter(|_| svc.submit(Request::new(vec![0.25; 8])).is_ok())
+                                .filter(|_| svc.submit(Request::new(enc())).is_ok())
                                 .count() as u64
                         })
                     })

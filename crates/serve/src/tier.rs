@@ -9,9 +9,9 @@
 //!   bit-reproducible path; predictions are byte-identical across runs,
 //!   thread counts and batch splits.
 //! * [`ServingTier::Fast`] — opt-in (`LIGHTNAS_KERNEL_MODE=fast`).
-//!   FMA-contracted autotuned kernels; predictions carry the documented
-//!   reduction-depth tolerance (`lightnas_tensor::tolerance`) instead of
-//!   bit-identity.
+//!   FMA-contracted kernels on the strict size rule's tiles; predictions
+//!   carry the documented reduction-depth tolerance
+//!   (`lightnas_tensor::tolerance`) instead of bit-identity.
 //! * [`ServingTier::FastF16`] — fast kernels plus binary16 weight
 //!   *storage* (`LIGHTNAS_SERVE_WEIGHTS=f16`): the deployed predictor is
 //!   quantized exactly as an f16 checkpoint round trip would, halving

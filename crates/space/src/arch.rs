@@ -113,27 +113,26 @@ impl Architecture {
     ///
     /// # Panics
     ///
-    /// Panics if `enc` is not a valid `154`-long one-hot-per-row encoding.
+    /// Panics if `enc` is not an encoding `encode` writes (see
+    /// [`parse_encoding`]).
     pub fn decode(enc: &[f32]) -> Self {
-        assert_eq!(
-            enc.len(),
-            TOTAL_LAYERS * NUM_OPS,
-            "encoding must have {} values",
-            TOTAL_LAYERS * NUM_OPS
-        );
-        let mut ops = Vec::with_capacity(SEARCHABLE_LAYERS);
-        for l in 1..TOTAL_LAYERS {
-            let row = &enc[l * NUM_OPS..(l + 1) * NUM_OPS];
-            let ones: Vec<usize> = row
+        Self::try_decode(enc).unwrap_or_else(|e| panic!("invalid encoding: {e}"))
+    }
+
+    /// Inverse of [`encode`](Self::encode), for encodings from outside.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DecodeError`] of [`parse_encoding`].
+    pub fn try_decode(enc: &[f32]) -> Result<Self, DecodeError> {
+        let ops = parse_encoding(enc)?;
+        Ok(Self {
+            ops: ops
                 .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0.0)
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(ones.len(), 1, "row {l} is not one-hot");
-            ops.push(Operator::from_index(ones[0]));
-        }
-        Self { ops, se_tail: 0 }
+                .map(|&i| Operator::from_index(usize::from(i)))
+                .collect(),
+            se_tail: 0,
+        })
     }
 
     /// Full analytic cost under `space`.
@@ -261,6 +260,119 @@ impl fmt::Display for Architecture {
     }
 }
 
+/// Values in an encoding: `L·K = 154`.
+const ENCODING_LEN: usize = TOTAL_LAYERS * NUM_OPS;
+
+/// Parses an encoding `ᾱ` (Eq. 4) into the operator index of each
+/// searchable slot, accepting exactly what [`Architecture::encode`] writes:
+/// 154 values, each `0.0` or `1.0` (a `-0.0` reads as zero), the stem row
+/// `[1, 0, 0, 0, 0, 0, 0]`, and exactly one `1.0` in every searchable row.
+///
+/// An accepted encoding costs one branch-free pass and no allocation; a
+/// rejected one is scanned again, in order, to name its first fault.
+///
+/// # Errors
+///
+/// In this order: [`DecodeError::Length`], [`DecodeError::NonFinite`],
+/// [`DecodeError::NotOne`], [`DecodeError::Stem`],
+/// [`DecodeError::RowNonzeros`].
+pub fn parse_encoding(enc: &[f32]) -> Result<[u8; SEARCHABLE_LAYERS], DecodeError> {
+    if enc.len() != ENCODING_LEN {
+        return Err(DecodeError::Length(enc.len()));
+    }
+    let (stem, rows) = enc.split_at(NUM_OPS);
+    let (stem_ones, stem_op, mut stray) = scan_row(stem);
+    let mut one_hot = (stem_ones == 1) & (stem_op == 0);
+    let mut ops = [0u8; SEARCHABLE_LAYERS];
+    for (op, row) in ops.iter_mut().zip(rows.chunks_exact(NUM_OPS)) {
+        let (ones, index, row_stray) = scan_row(row);
+        one_hot &= ones == 1;
+        stray |= row_stray;
+        *op = index;
+    }
+    if one_hot & !stray {
+        return Ok(ops);
+    }
+    diagnose(enc).map_or(Ok(ops), Err)
+}
+
+/// One row of an encoding, without a branch: how many values are `1.0`,
+/// the sum of their indices (the index when there is one), and whether a
+/// value is neither zero nor one (NaN and infinities included).
+fn scan_row(row: &[f32]) -> (u8, u8, bool) {
+    let (mut ones, mut index, mut stray) = (0u8, 0u8, false);
+    for (i, &v) in row.iter().enumerate() {
+        let one = v == 1.0;
+        ones += u8::from(one);
+        index += u8::from(one) * i as u8;
+        stray |= (v != 0.0) & !one;
+    }
+    (ones, index, stray)
+}
+
+/// The first fault of an encoding of the right length, in the order
+/// [`parse_encoding`] documents; `None` if it has none.
+fn diagnose(enc: &[f32]) -> Option<DecodeError> {
+    if let Some(index) = enc.iter().position(|v| !v.is_finite()) {
+        return Some(DecodeError::NonFinite { index });
+    }
+    if let Some(index) = enc.iter().position(|&v| v != 0.0 && v != 1.0) {
+        return Some(DecodeError::NotOne { index });
+    }
+    let mut ones = enc.chunks_exact(NUM_OPS).map(|row| scan_row(row).0);
+    if ones.next() != Some(1) || enc[0] != 1.0 {
+        return Some(DecodeError::Stem);
+    }
+    ones.zip(1..)
+        .find(|&(count, _)| count != 1)
+        .map(|(count, row)| DecodeError::RowNonzeros {
+            row,
+            nonzeros: usize::from(count),
+        })
+}
+
+/// Why [`parse_encoding`] refused an encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The encoding held this many values instead of `L·K = 154`.
+    Length(usize),
+    /// The value at this index was NaN or infinite.
+    NonFinite {
+        /// Position in the flattened encoding.
+        index: usize,
+    },
+    /// The value at this index was neither zero nor one.
+    NotOne {
+        /// Position in the flattened encoding.
+        index: usize,
+    },
+    /// The stem row was not `[1, 0, 0, 0, 0, 0, 0]`.
+    Stem,
+    /// A searchable row did not hold exactly one `1.0`.
+    RowNonzeros {
+        /// Row of the encoding, `1..22`.
+        row: usize,
+        /// How many `1.0` values it held.
+        nonzeros: usize,
+    },
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::Length(n) => write!(f, "expected {ENCODING_LEN} values, got {n}"),
+            DecodeError::NonFinite { index } => write!(f, "value {index} is not finite"),
+            DecodeError::NotOne { index } => write!(f, "value {index} is neither 0 nor 1"),
+            DecodeError::Stem => write!(f, "stem row is not [1, 0, 0, 0, 0, 0, 0]"),
+            DecodeError::RowNonzeros { row, nonzeros } => {
+                write!(f, "row {row} holds {nonzeros} ones, not 1")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
 /// Error returned when parsing a compact spec string fails
 /// (see [`Architecture::from_spec`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,6 +467,62 @@ mod tests {
             let a = Architecture::random(&space, seed);
             assert_eq!(Architecture::decode(&a.encode()), a);
         }
+    }
+
+    #[test]
+    fn parse_encoding_names_each_fault() {
+        let arch = Architecture::random(&SearchSpace::standard(), 5);
+        let enc = arch.encode();
+        let ops: Vec<u8> = arch.ops().iter().map(|o| o.index() as u8).collect();
+        assert_eq!(parse_encoding(&enc).map(|o| o.to_vec()), Ok(ops.clone()));
+        assert_eq!(Architecture::try_decode(&enc), Ok(arch.clone()));
+        let negative_zeros: Vec<f32> = enc
+            .iter()
+            .map(|&v| if v == 0.0 { -0.0 } else { v })
+            .collect();
+        assert_eq!(Architecture::try_decode(&negative_zeros), Ok(arch));
+        assert_eq!(parse_encoding(&enc[..153]), Err(DecodeError::Length(153)));
+        assert_eq!(parse_encoding(&[]), Err(DecodeError::Length(0)));
+        let with = |edits: &[(usize, f32)]| {
+            let mut e = enc.clone();
+            for &(i, v) in edits {
+                e[i] = v;
+            }
+            parse_encoding(&e)
+        };
+        // Row 5's operator sits at index 35 + ops[4].
+        let one = 5 * NUM_OPS + usize::from(ops[4]);
+        let other = 5 * NUM_OPS + (usize::from(ops[4]) + 1) % NUM_OPS;
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(
+                with(&[(other, 0.5), (one + 20, v)]),
+                Err(DecodeError::NonFinite { index: one + 20 }),
+                "a non-finite value is named before a stray one"
+            );
+        }
+        assert_eq!(
+            with(&[(other, 0.5)]),
+            Err(DecodeError::NotOne { index: other })
+        );
+        assert_eq!(with(&[(one, 2.0)]), Err(DecodeError::NotOne { index: one }));
+        assert_eq!(with(&[(0, 0.0)]), Err(DecodeError::Stem));
+        assert_eq!(with(&[(0, 0.0), (3, 1.0)]), Err(DecodeError::Stem));
+        assert_eq!(with(&[(4, 1.0)]), Err(DecodeError::Stem));
+        assert_eq!(
+            with(&[(other, 1.0)]),
+            Err(DecodeError::RowNonzeros {
+                row: 5,
+                nonzeros: 2
+            })
+        );
+        assert_eq!(
+            with(&[(one, 0.0)]),
+            Err(DecodeError::RowNonzeros {
+                row: 5,
+                nonzeros: 0
+            })
+        );
+        assert!(std::panic::catch_unwind(|| Architecture::decode(&enc[..3])).is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod operator;
 mod reference;
 mod scaling;
 
-pub use arch::{Architecture, ParseArchitectureError, ParseSpecError};
+pub use arch::{parse_encoding, Architecture, DecodeError, ParseArchitectureError, ParseSpecError};
 pub use config::{LayerSpec, SearchSpace, SpaceConfig};
 pub use cost::{fixed_cost, layer_cost, network_cost, LayerCost, NetworkCost};
 pub use operator::{Expansion, Kernel, Operator, ParseOperatorError};

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use lightnas_space::{
-    layer_cost, mobilenet_v2, network_cost, Architecture, Operator, SearchSpace, SpaceConfig,
-    NUM_OPS, SEARCHABLE_LAYERS,
+    layer_cost, mobilenet_v2, network_cost, parse_encoding, Architecture, Operator, SearchSpace,
+    SpaceConfig, NUM_OPS, SEARCHABLE_LAYERS, TOTAL_LAYERS,
 };
 
 fn arb_ops() -> impl Strategy<Value = Vec<Operator>> {
@@ -172,6 +172,90 @@ proptest! {
         prop_assert!(parsed.is_ok(), "from_spec panicked on {:?}", spec);
         if let Ok(Ok(parsed)) = parsed {
             prop_assert_eq!(parsed.to_spec(), spec.clone(), "accepted a non-canonical spec {:?}", spec);
+        }
+    }
+}
+
+/// Values a mutation writes: the two an encoding holds, a negative zero,
+/// and ones it never holds.
+const VALUES: [f32; 9] = [
+    0.0,
+    1.0,
+    -0.0,
+    0.5,
+    2.0,
+    -1.0,
+    f32::NAN,
+    f32::INFINITY,
+    1e-30,
+];
+
+/// Applies mutation `kind` to an encoding: write a value (`pick` into
+/// [`VALUES`]) at `at`, move a row's one, add a second one to a row, clear
+/// a row, drop or append values, or several writes at once.
+fn mutate_encoding(enc: &[f32], kind: u32, at: usize, pick: usize, n: usize) -> Vec<f32> {
+    let mut out = enc.to_vec();
+    let len = out.len();
+    let row = 1 + at % SEARCHABLE_LAYERS;
+    match kind {
+        0 => out[at % len] = VALUES[pick % VALUES.len()],
+        1 => {
+            for v in &mut out[row * NUM_OPS..(row + 1) * NUM_OPS] {
+                *v = 0.0;
+            }
+            out[row * NUM_OPS + pick % NUM_OPS] = 1.0;
+        }
+        2 => out[row * NUM_OPS + pick % NUM_OPS] = 1.0,
+        3 => {
+            for v in &mut out[row * NUM_OPS..(row + 1) * NUM_OPS] {
+                *v = 0.0;
+            }
+        }
+        4 => out.truncate(len - 1 - n % len),
+        5 => out.extend(std::iter::repeat_n(VALUES[pick % VALUES.len()], 1 + n)),
+        _ => {
+            for i in 0..=n % 4 {
+                out[(at + i * 37) % len] = VALUES[(pick + i) % VALUES.len()];
+            }
+        }
+    }
+    out
+}
+
+/// An independent oracle: `enc` is an encoding exactly when the
+/// architecture of its row-wise argmax encodes back to it.
+fn is_an_encoding(enc: &[f32]) -> bool {
+    if enc.len() != TOTAL_LAYERS * NUM_OPS {
+        return false;
+    }
+    let ops = (1..TOTAL_LAYERS)
+        .map(|l| {
+            let row = &enc[l * NUM_OPS..(l + 1) * NUM_OPS];
+            let best = (0..NUM_OPS).fold(0, |b, i| if row[i] > row[b] { i } else { b });
+            Operator::from_index(best)
+        })
+        .collect();
+    Architecture::new(ops).encode() == enc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12_000))]
+
+    #[test]
+    fn mutated_encodings_parse_exactly_when_they_round_trip(
+        ops in arb_ops(),
+        kind in 0u32..7,
+        at in 0usize..200,
+        pick in 0usize..64,
+        n in 0usize..30,
+    ) {
+        let enc = mutate_encoding(&Architecture::new(ops).encode(), kind, at, pick, n);
+        let parsed = std::panic::catch_unwind(|| parse_encoding(&enc));
+        prop_assert!(parsed.is_ok(), "parse_encoding panicked on {:?}", enc);
+        let decoded = Architecture::try_decode(&enc);
+        prop_assert_eq!(decoded.is_ok(), is_an_encoding(&enc), "{:?}", decoded);
+        if let Ok(arch) = decoded {
+            prop_assert!(arch.encode() == enc, "accepted a non-encoding {:?}", enc);
         }
     }
 }

@@ -16,55 +16,55 @@
 //! reductions, or FMA contraction — each of those changes rounding and would
 //! break the repo-wide byte-identical checkpoint invariant.
 //!
-//! **One GEMM.** [`matmul_into`] is the only GEMM: [`matmul_nt_into`] and
-//! [`matmul_tn_into`] transpose their transposed operand into a pooled
-//! buffer (a pure permutation; a one-column `aᵀ·b` needs none, below) and
-//! call it. It chooses a product's kernel once — the axpy loop below 4
-//! rows or 4,096 multiply-adds, then the fast tier's autotuned choice
-//! ([`crate::fastpath`]) when that tier is active, then the one-column
-//! rewrite below, then the zero-skipping kernel for a sparse left operand,
-//! then the strict tile (with SIMD on, AVX-512F 8×32 where the CPU has it
-//! and the output holds one whole 8×32 tile, else AVX2 4×16; portable 4×8
-//! with SIMD off) — and one tiling loop runs every tile of both tiers.
-//! That loop gathers a short row block into a zero-padded strip and runs a
+//! **One GEMM, one kernel choice.** [`matmul_into`] is the only GEMM:
+//! [`matmul_nt_into`] and [`matmul_tn_into`] transpose their transposed
+//! operand into a pooled buffer (a pure permutation; a one-column `aᵀ·b`
+//! needs none, below) and call it. It chooses a product's kernel once, by
+//! one list that serves both tiers: the axpy loop below 4 rows or 4,096
+//! multiply-adds, then the one-row rewrite of a one-column product, then
+//! the zero-skipping kernel for a left operand at most a quarter nonzero,
+//! then the size rule's tile — with SIMD on, 8×32 where the CPU has
+//! AVX-512F and the output holds one whole 8×32 tile, else 4×16; portable
+//! 4×8 with SIMD off. The strict tier runs the tile's multiply-then-add
+//! stamp, the fast tier its fused stamp, so no choice depends on a timing
+//! and the fast tier's bits depend only on the CPU, the thread count and
+//! the SIMD switch. One tiling loop runs every tile of both tiers. That
+//! loop gathers a short row block into a zero-padded strip and runs a
 //! narrow panel into a scratch tile, so a tile never sees an edge and no
 //! padded row or column is stored.
 //!
-//! **One-column outputs.** A strict product with one output column would
-//! spend all but one of a panel's columns on dead work, so it runs as its
+//! **One-column outputs.** A product with one output column would spend
+//! all but one of a panel's columns on dead work, so it runs as its
 //! transpose instead: `a·b = (bᵀ·aᵀ)ᵀ`, a product with one output row `m`
 //! wide, on the axpy loop that serves every product of one row. For one
 //! column `bᵀ` is `b` and the result's transpose is the result, so only
 //! `a` is transposed, and [`matmul_tn_into`], whose `aᵀ·b` is `(bᵀ·a)ᵀ`,
 //! transposes nothing. Each element still adds `b[p]·a[i][p]` in ascending
-//! `p` from `+0.0`; IEEE multiplication commutes, so every kept term has
-//! the reference's bits. The loop skips the zero entries of `b` instead of
-//! `a`'s: for finite operands a skipped term is `±0.0` either way (see
-//! *Sparse dispatch*; [`matmul_into`] says what differs for non-finite
-//! ones). Wider narrow outputs stay on the tile: the loop passes over its
-//! output once per column, and from two columns on that lost to one padded
-//! panel (DESIGN.md §8).
+//! `p` from `+0.0`; IEEE multiplication commutes, so on the strict tier
+//! every kept term has the reference's bits. The loop skips the zero
+//! entries of `b` instead of `a`'s: for finite operands a skipped term is
+//! `±0.0` either way (see *Sparse dispatch*; [`matmul_into`] says what
+//! differs for non-finite ones). Wider narrow outputs stay on the tile: the
+//! loop passes over its output once per column, and from two columns on
+//! that lost to one padded panel (DESIGN.md §8).
 //!
-//! **Sparse dispatch.** On the strict tier [`matmul_into`], and so all three
-//! entry points, counts the left operand's nonzero entries in one
-//! vectorized pass that stops as soon as the count passes a quarter of them.
-//! When at most a quarter are nonzero and the output is at least 32 columns
-//! wide, the product runs the zero-skipping row kernel instead of the packed
-//! tiles: its AVX2 body in the `simd` module, which keeps each output row's
-//! accumulators in registers, or the axpy loop with SIMD off. Both limits
-//! are constants (DESIGN.md §8 has the measurements), never knobs. Skipping
-//! a zero term moves no bit: every accumulator starts at `+0.0`, and with a
-//! finite right operand the skipped term is `±0.0`, which cannot change an
-//! accumulator that started at `+0.0` (it can never have become `−0.0`) — the
-//! rule the skinny axpy path and the [`matmul_ref`] oracle already rely on.
-//! The predictor fit's one-hot input batch (22 of 154 entries nonzero) takes
-//! this path in `x·W1` and `xᵀ·g`; its first hidden layer's ReLU output, more
-//! than half nonzero, stays packed. On the fast tier an operand that passes
-//! the same count adds this kernel to the candidates the per-shape
-//! autotuner times against the FMA tiles: those cost about half as much per
-//! term as the strict tiles, so the exact kernel beats them on wide outputs
-//! and loses on narrow ones, and timing picks between them without a second
-//! constant.
+//! **Sparse dispatch.** [`matmul_into`], and so all three entry points,
+//! counts the left operand's nonzero entries in one vectorized pass that
+//! stops as soon as the count passes a quarter of them. When at most a
+//! quarter are nonzero and the output is at least 32 columns wide, the
+//! product runs the zero-skipping row kernel instead of the packed tiles,
+//! on both tiers: its AVX2 body in the `simd` module, which keeps each
+//! output row's accumulators in registers, or the axpy loop with SIMD off.
+//! Both limits are constants (DESIGN.md §8 has the measurements), never
+//! knobs. Skipping a zero term moves no bit: every accumulator starts at
+//! `+0.0`, and with a finite right operand the skipped term is `±0.0`,
+//! which cannot change an accumulator that started at `+0.0` (it can never
+//! have become `−0.0`) — the rule the skinny axpy path and the
+//! [`matmul_ref`] oracle already rely on. The predictor fit's one-hot input
+//! batch (22 of 154 entries nonzero) takes this path in `x·W1` and `xᵀ·g`;
+//! its first hidden layer's ReLU output, more than half nonzero, stays
+//! packed. The kernel never contracts, so on the fast tier too these
+//! products store the strict bits.
 //!
 //! The thread count is a process-wide knob ([`set_num_threads`], default 1 =
 //! serial). It is intentionally *not* part of
@@ -76,7 +76,6 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::fastpath::{with_tuned_kernel, Candidate};
 use crate::simd::Tile;
 use crate::Tensor;
 
@@ -375,28 +374,43 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         return;
     }
     let use_simd = crate::simd::simd_enabled();
+    match kernel_for(a, m, k, n, use_simd, crate::mode::fast_active()) {
+        Kernel::Axpy => gemm_axpy(a, b, k, n, 0, use_simd, out),
+        Kernel::OneRow => {
+            with_transposed(a, m, k, |at| gemm_axpy(b, at, k, m, 0, use_simd, out));
+        }
+        Kernel::Sparse(nonzeros) => gemm_sparse(a, b, k, n, nonzeros, use_simd, out),
+        Kernel::Tiled(tile) => gemm_tiled(a, b, m, k, n, tile, out),
+    }
+}
+
+/// A kernel [`matmul_into`] can run a product on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The axpy loop, for products too small to pack.
+    Axpy,
+    /// The one-row rewrite of a one-column product (module docs).
+    OneRow,
+    /// The zero-skipping kernel, with the left operand's nonzero count.
+    Sparse(usize),
+    /// The shared tiling loop on this tile.
+    Tiled(Tile),
+}
+
+/// The one kernel-choice list, for both tiers (module docs): the axpy loop
+/// for a tiny product, the one-row rewrite for one output column, the
+/// zero-skipping kernel for a sparse left operand, else the tile for the
+/// output's size. `fast` is whether the fast tier is active, which implies
+/// `use_simd`.
+fn kernel_for(a: &[f32], m: usize, k: usize, n: usize, use_simd: bool, fast: bool) -> Kernel {
     if m < MR || m * k * n < PACK_MIN_FLOPS {
-        gemm_axpy(a, b, k, n, 0, use_simd, out);
-        return;
-    }
-    if one_column(n) {
-        with_transposed(a, m, k, |at| gemm_axpy(b, at, k, m, 0, use_simd, out));
-        return;
-    }
-    let nonzeros = sparse_nonzeros(a, n);
-    if crate::mode::fast_active() {
-        with_tuned_kernel(m, k, n, nonzeros.is_some(), |candidate| match candidate {
-            Candidate::Tile(tile) => gemm_tiled(a, b, m, k, n, tile.into(), out),
-            Candidate::Sparse => {
-                let nonzeros =
-                    nonzeros.expect("zero-skipping kernel offered for a sparse lhs only");
-                gemm_sparse(a, b, k, n, nonzeros, true, out);
-            }
-        });
-    } else if let Some(nonzeros) = nonzeros {
-        gemm_sparse(a, b, k, n, nonzeros, use_simd, out);
+        Kernel::Axpy
+    } else if n == 1 {
+        Kernel::OneRow
+    } else if let Some(nonzeros) = sparse_nonzeros(a, n) {
+        Kernel::Sparse(nonzeros)
     } else {
-        gemm_tiled(a, b, m, k, n, strict_tile(use_simd, m, n), out);
+        Kernel::Tiled(tile_for(use_simd, fast, m, n))
     }
 }
 
@@ -418,7 +432,7 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
 /// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`): `a`
 /// is transposed into a pooled buffer and the product runs through
 /// [`matmul_into`]. A transpose is a pure permutation, so the bits are
-/// exactly `matmul_into(aᵀ, b)`'s. A one-column strict product runs as
+/// exactly `matmul_into(aᵀ, b)`'s. A one-column product runs as
 /// `matmul_into(bᵀ, a)` instead, which transposes nothing (module docs,
 /// *One-column outputs*).
 ///
@@ -429,18 +443,11 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
     assert_eq!(a.len(), d * m, "matmul_tn lhs length mismatch");
     assert_eq!(b.len(), d * n, "matmul_tn rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_tn output length mismatch");
-    if one_column(n) {
+    if n == 1 {
         matmul_into(b, a, 1, d, m, out);
     } else {
         with_transposed(a, d, m, |at| matmul_into(at, b, m, d, n, out));
     }
-}
-
-/// Whether a product with `n` output columns runs as its one-row transpose
-/// (module docs, *One-column outputs*): every strict one, with SIMD on or
-/// off. The fast tier keeps its autotuned choice.
-fn one_column(n: usize) -> bool {
-    n == 1 && !crate::mode::fast_active()
 }
 
 /// Runs `f` on row-major `src` (`[rows, cols]`) transposed into a pooled
@@ -452,19 +459,20 @@ fn with_transposed(src: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32])
     with_pool(|pool| pool.recycle(t));
 }
 
-/// The strict tile for an `m × n` output. With SIMD on: AVX-512F 8×32 when
-/// the CPU has it and the output holds one whole 8×32 tile, else AVX2 4×16.
-/// With it off: the portable 4×8. All keep one accumulator per output
-/// element fed multiply-then-add in ascending `p`, so they store identical
-/// bits.
-fn strict_tile(use_simd: bool, m: usize, n: usize) -> Tile {
-    let wide = Tile::Avx512Strict;
-    if !use_simd {
-        Tile::Portable
-    } else if m >= wide.mr() && n >= wide.width() && wide.available() {
-        wide
-    } else {
-        Tile::Avx2
+/// The tile for an `m × n` output. With SIMD on: 8×32 when the CPU has
+/// AVX-512F and the output holds one whole 8×32 tile, else 4×16 — the
+/// multiply-then-add stamp on the strict tier, the fused stamp on the fast
+/// one. With SIMD off: the portable 4×8. The strict tiles keep one
+/// accumulator per output element fed multiply-then-add in ascending `p`,
+/// so they store identical bits.
+fn tile_for(use_simd: bool, fast: bool, m: usize, n: usize) -> Tile {
+    let wide = m >= Tile::Avx512.mr() && n >= Tile::Avx512.width() && Tile::Avx512.available();
+    match (use_simd, wide, fast) {
+        (false, _, _) => Tile::Portable,
+        (true, true, false) => Tile::Avx512Strict,
+        (true, true, true) => Tile::Avx512,
+        (true, false, false) => Tile::Avx2,
+        (true, false, true) => Tile::Fma,
     }
 }
 
@@ -1055,7 +1063,7 @@ mod tests {
     /// bit for bit.
     fn packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, use_simd: bool) -> Vec<f32> {
         let mut out = vec![f32::NAN; m * n];
-        gemm_tiled(a, b, m, k, n, strict_tile(use_simd, m, n), &mut out);
+        gemm_tiled(a, b, m, k, n, tile_for(use_simd, false, m, n), &mut out);
         out
     }
 
@@ -1094,6 +1102,61 @@ mod tests {
             }
         }
         set_num_threads(before);
+    }
+
+    #[test]
+    fn one_kernel_choice_list_serves_both_tiers() {
+        // Each tier with SIMD on and off, as `fast_active` combines them:
+        // the fast tier is active only with SIMD on and an FMA CPU.
+        let tiers: Vec<(bool, bool)> = simd_flags()
+            .into_iter()
+            .flat_map(|use_simd| [(use_simd, false), (use_simd, true)])
+            .filter(|&(use_simd, fast)| !fast || (use_simd && crate::simd::fma_available()))
+            .collect();
+        // Dense operands on each side of the 8-row and 32-column
+        // thresholds: (m, n, strict tile, fast tile) with SIMD on.
+        let cases = [
+            (8, 32, Tile::Avx512Strict, Tile::Avx512),
+            (255, 128, Tile::Avx512Strict, Tile::Avx512),
+            (7, 32, Tile::Avx2, Tile::Fma),
+            (8, 31, Tile::Avx2, Tile::Fma),
+            (7, 31, Tile::Avx2, Tile::Fma),
+            (64, 16, Tile::Avx2, Tile::Fma),
+        ];
+        let k = 64;
+        for &(use_simd, fast) in &tiers {
+            let tier = format!("simd={use_simd} fast={fast}");
+            for (m, n, strict, fused) in cases {
+                if strict == Tile::Avx512Strict && !crate::simd::avx512_available() {
+                    continue;
+                }
+                let a = Tensor::uniform(&[m, k], -1.0, 1.0, (m * 100 + n) as u64);
+                let want = match (use_simd, fast) {
+                    (false, _) => Tile::Portable,
+                    (true, false) => strict,
+                    (true, true) => fused,
+                };
+                let got = kernel_for(a.as_slice(), m, k, n, use_simd, fast);
+                assert_eq!(got, Kernel::Tiled(want), "{m}x{k}x{n} {tier}");
+            }
+            let flat = vec![0.5f32; 64 * k];
+            assert_eq!(kernel_for(&flat, 3, k, 64, use_simd, fast), Kernel::Axpy);
+            assert_eq!(kernel_for(&flat, 4, 8, 64, use_simd, fast), Kernel::Axpy);
+            assert_eq!(kernel_for(&flat, 64, k, 1, use_simd, fast), Kernel::OneRow);
+            let sparse = one_hot(64);
+            assert_eq!(
+                kernel_for(&sparse, 64, 154, 32, use_simd, fast),
+                Kernel::Sparse(64 * 22),
+                "{tier}"
+            );
+            assert!(
+                matches!(
+                    kernel_for(&sparse, 64, 154, 31, use_simd, fast),
+                    Kernel::Tiled(_)
+                ),
+                "a narrow output stays on the tile whatever the density ({tier})"
+            );
+        }
     }
 
     /// The zero-skipping kernel on `a · b`, called directly.

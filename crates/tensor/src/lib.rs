@@ -27,8 +27,8 @@
 //! That bit-exact contract is the **strict** tier and the default. An
 //! opt-in **fast** tier (`LIGHTNAS_KERNEL_MODE=fast`, see [`KernelMode`])
 //! trades bit-identity for throughput — FMA-contracted AVX2/AVX-512
-//! micro-kernels, per-thread partial-sum reductions, per-shape tile
-//! autotuning — and is verified against the strict oracle by the
+//! micro-kernels chosen by the strict tier's own size rule, and per-thread
+//! partial-sum reductions — and is verified against the strict oracle by the
 //! differential tolerance comparators in [`tolerance`]
 //! (`tests/tolerance.rs`) instead of fingerprints. Half-precision weight
 //! *storage* (conversions in [`f16`]) rides the same tier: arithmetic stays
@@ -49,7 +49,6 @@
 //! ```
 
 mod autograd;
-mod fastpath;
 mod im2col;
 mod mode;
 mod shape;
@@ -63,7 +62,6 @@ pub mod kernels;
 pub mod tolerance;
 
 pub use autograd::{Graph, Var};
-pub use fastpath::{fast_tile_override, set_fast_tile_override, FastTile};
 pub use im2col::{col2im, conv2d_backward_fast, conv2d_forward_fast, im2col};
 pub use kernels::{
     matmul_ref, set_num_threads, set_simd_enabled, simd_enabled, PoolStats, TensorPool,

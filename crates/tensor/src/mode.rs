@@ -5,9 +5,9 @@
 //! bits identical to the naive reference loops, at every thread count, on
 //! every instruction set. Fast mode is an *opt-in* second tier that trades
 //! that bit-identity for throughput: FMA-contracted micro-kernels (AVX2+FMA
-//! and AVX-512F tiles in [`crate::simd`]), per-thread partial-sum reductions
-//! over the `k` dimension, and per-shape tile autotuning
-//! ([`crate::fastpath`]). Fast results are *tolerance-verified* against the
+//! and AVX-512F tiles in [`crate::simd`], chosen by the strict tier's own
+//! size rule in [`crate::kernels`]) and per-thread partial-sum reductions
+//! over the `k` dimension. Fast results are *tolerance-verified* against the
 //! strict oracle — the bounds live in [`crate::tolerance`] and are asserted
 //! by the differential proptest suite — never fingerprinted.
 //!
@@ -30,9 +30,10 @@ pub enum KernelMode {
     /// Bit-exact: byte-identical to the naive references, thread-count and
     /// instruction-set invariant. The oracle tier.
     Strict,
-    /// Tolerance-verified: FMA contraction, per-thread partial sums and
-    /// per-shape tile autotuning allowed. Bounded divergence from strict,
-    /// per [`crate::tolerance`].
+    /// Tolerance-verified: FMA contraction and per-thread partial sums
+    /// allowed, on the kernels the strict tier's size rule picks. Bounded
+    /// divergence from strict, per [`crate::tolerance`]; the bits depend on
+    /// the CPU, the thread count and the SIMD switch, never on a timing.
     Fast,
 }
 

@@ -28,10 +28,10 @@
 //!
 //! **Fast tier** ([`crate::mode`]). The `fma` stamps and the fused AVX-512
 //! 8×32 tile *do* contract with `vfmadd`, which changes low-order bits — they
-//! are reachable only when `LIGHTNAS_KERNEL_MODE=fast`, through the fast
-//! tier's kernel choice ([`crate::fastpath`]), and are verified against the
-//! strict oracle by the differential tolerance suite instead of
-//! fingerprints.
+//! are reachable only when `LIGHTNAS_KERNEL_MODE=fast`, where the one
+//! kernel-choice list in [`crate::kernels`] runs the fused stamp of the tile
+//! the strict tier would run, and are verified against the strict oracle by
+//! the differential tolerance suite instead of fingerprints.
 //!
 //! Because the compile baseline is SSE2 (no `-C target-cpu` anywhere in the
 //! workspace), AVX2/FMA/AVX-512F/F16C availability is detected at runtime
@@ -983,6 +983,18 @@ mod tests {
             }
         }
         (out, want)
+    }
+
+    #[test]
+    fn tile_geometry() {
+        // (rows, width, fused): each fused tile has its strict twin's shape,
+        // so the size rule picks one shape for both tiers.
+        let geometry = |t: Tile| (t.mr(), t.width(), t.fused());
+        assert_eq!(geometry(Tile::Portable), (4, 8, false));
+        assert_eq!(geometry(Tile::Avx2), (4, 16, false));
+        assert_eq!(geometry(Tile::Fma), (4, 16, true));
+        assert_eq!(geometry(Tile::Avx512Strict), (8, 32, false));
+        assert_eq!(geometry(Tile::Avx512), (8, 32, true));
     }
 
     #[test]

@@ -444,8 +444,7 @@ fn mode_env_knob_parses_and_applies() {
 #[test]
 fn strict_bits_survive_a_fast_mode_excursion() {
     // Flipping to fast and back must leave no residue in the strict tier:
-    // same fingerprint before, during-strict, and after. (The fast tile
-    // autotune cache is fast-tier-only state and must not leak.)
+    // same fingerprint before, during-strict, and after.
     let _guard = knob_lock().lock().unwrap();
     use lightnas_tensor::{set_kernel_mode, KernelMode};
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
@@ -453,7 +452,7 @@ fn strict_bits_survive_a_fast_mode_excursion() {
     let strict_before = fnv(a.matmul(&b).as_slice());
     assert_eq!(strict_before, 0xc0cf_2e2b_448b_1ec1);
     set_kernel_mode(KernelMode::Fast);
-    let _ = a.matmul(&b); // populate fast-tier state
+    let _ = a.matmul(&b);
     set_kernel_mode(KernelMode::Strict);
     assert_eq!(
         fnv(a.matmul(&b).as_slice()),

@@ -2,15 +2,18 @@
 //!
 //! Every fast kernel (matmul NN/NT/TN, conv2d forward+backward, dwconv
 //! forward+backward, Adam) is property-tested against the strict path under
-//! random shapes, thread counts (1/2/4 — covering the row-partitioned and
-//! the k-split per-thread partial-sum drivers) and both micro-tiles (the
-//! AVX2+FMA 4×16 and AVX-512F 8×32, via the tile pin). The bounds come from
+//! random shapes and thread counts (1/2/4 — covering the row-partitioned and
+//! the k-split per-thread partial-sum drivers). The fast tier runs the fused
+//! stamp of the tile the strict size rule picks, and the matmul shape ranges
+//! (m 4..32, n 1..40) straddle its 8-row and 32-column thresholds, so both
+//! fused tiles (AVX2+FMA 4×16 and, on AVX-512F CPUs, 8×32) are covered
+//! without a pin. The bounds come from
 //! [`lightnas_tensor::tolerance`]: per-element
 //! `|fast − strict| ≤ rel_tol(depth) · Σ|terms|`, where the scale is
 //! computed *exactly* by running the strict kernel on absolute-valued
 //! operands. With SIMD forced off, fast mode must degrade to bit-identity.
 //!
-//! Tests here flip process-wide knobs (mode, threads, SIMD, tile pin), so
+//! Tests here flip process-wide knobs (mode, threads, SIMD), so
 //! every test holds one mutex and restores strict defaults on drop — panics
 //! included.
 
@@ -21,8 +24,8 @@ use proptest::prelude::*;
 use lightnas_tensor::kernels::{self, AdamUpdate};
 use lightnas_tensor::tolerance::ReductionBound;
 use lightnas_tensor::{
-    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, set_fast_tile_override,
-    set_kernel_mode, set_num_threads, set_simd_enabled, Conv2dSpec, FastTile, KernelMode, Tensor,
+    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, set_kernel_mode,
+    set_num_threads, set_simd_enabled, Conv2dSpec, KernelMode, Tensor,
 };
 
 static KNOB: Mutex<()> = Mutex::new(());
@@ -51,16 +54,12 @@ fn restore_defaults() {
     set_kernel_mode(KernelMode::Strict);
     set_num_threads(1);
     set_simd_enabled(true);
-    set_fast_tile_override(None);
 }
 
-/// Enters the fast tier with the given thread count and tile pin (a pin the
-/// CPU lacks silently falls back — both pins are exercised regardless so
-/// AVX-512 machines cover both tiles and AVX2 machines cover the 4×16).
-fn enter_fast(threads: usize, tile: Option<FastTile>) {
+/// Enters the fast tier with the given thread count.
+fn enter_fast(threads: usize) {
     set_kernel_mode(KernelMode::Fast);
     set_num_threads(threads);
-    set_fast_tile_override(tile);
 }
 
 fn abs_all(v: &[f32]) -> Vec<f32> {
@@ -69,16 +68,6 @@ fn abs_all(v: &[f32]) -> Vec<f32> {
 
 fn abs_tensor(t: &Tensor) -> Tensor {
     Tensor::from_vec(abs_all(t.as_slice()), t.shape().dims())
-}
-
-const TILES: [Option<FastTile>; 3] = [
-    None,
-    Some(FastTile::Avx2Fma4x16),
-    Some(FastTile::Avx512f8x32),
-];
-
-fn tile_from_index(i: usize) -> Option<FastTile> {
-    TILES[i % TILES.len()]
 }
 
 fn threads_from_index(i: usize) -> usize {
@@ -93,13 +82,12 @@ fn matmul_triple(
     b: &[f32],
     out_len: usize,
     threads: usize,
-    tile: Option<FastTile>,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut strict = vec![0.0f32; out_len];
     run(a, b, &mut strict);
     let mut scale = vec![0.0f32; out_len];
     run(&abs_all(a), &abs_all(b), &mut scale);
-    enter_fast(threads, tile);
+    enter_fast(threads);
     let mut fast = vec![0.0f32; out_len];
     run(a, b, &mut fast);
     restore_defaults();
@@ -112,68 +100,68 @@ proptest! {
     #[test]
     fn matmul_fast_within_depth_bound(
         m in 4usize..32, k in 1usize..64, n in 1usize..40,
-        ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
+        ti in 0usize..3, seed in 0u64..100_000,
     ) {
         let _lab = KnobLab::new();
-        let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
+        let threads = threads_from_index(ti);
         let a = Tensor::uniform(&[m, k], -2.0, 2.0, seed);
         let b = Tensor::uniform(&[k, n], -2.0, 2.0, seed + 1);
         let (strict, fast, scale) = matmul_triple(
             |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
-            a.as_slice(), b.as_slice(), m * n, threads, tile,
+            a.as_slice(), b.as_slice(), m * n, threads,
         );
         if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-            prop_assert!(false, "matmul {m}x{k}x{n} t={threads} tile={tile:?}: {v}");
+            prop_assert!(false, "matmul {m}x{k}x{n} t={threads}: {v}");
         }
     }
 
     #[test]
     fn matmul_nt_fast_within_depth_bound(
         m in 4usize..32, d in 1usize..64, n in 1usize..40,
-        ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
+        ti in 0usize..3, seed in 0u64..100_000,
     ) {
         let _lab = KnobLab::new();
-        let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
+        let threads = threads_from_index(ti);
         let a = Tensor::uniform(&[m, d], -2.0, 2.0, seed);
         let bt = Tensor::uniform(&[n, d], -2.0, 2.0, seed + 1);
         let (strict, fast, scale) = matmul_triple(
             |a, b, out| kernels::matmul_nt_into(a, b, m, d, n, out),
-            a.as_slice(), bt.as_slice(), m * n, threads, tile,
+            a.as_slice(), bt.as_slice(), m * n, threads,
         );
         if let Err(v) = ReductionBound::matmul(d).check(&fast, &strict, &scale) {
-            prop_assert!(false, "matmul_nt {m}x{d}x{n} t={threads} tile={tile:?}: {v}");
+            prop_assert!(false, "matmul_nt {m}x{d}x{n} t={threads}: {v}");
         }
     }
 
     #[test]
     fn matmul_tn_fast_within_depth_bound(
         m in 4usize..32, d in 1usize..64, n in 1usize..40,
-        ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
+        ti in 0usize..3, seed in 0u64..100_000,
     ) {
         let _lab = KnobLab::new();
-        let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
+        let threads = threads_from_index(ti);
         let at = Tensor::uniform(&[d, m], -2.0, 2.0, seed);
         let b = Tensor::uniform(&[d, n], -2.0, 2.0, seed + 1);
         let (strict, fast, scale) = matmul_triple(
             |a, b, out| kernels::matmul_tn_into(a, b, d, m, n, out),
-            at.as_slice(), b.as_slice(), m * n, threads, tile,
+            at.as_slice(), b.as_slice(), m * n, threads,
         );
         if let Err(v) = ReductionBound::matmul(d).check(&fast, &strict, &scale) {
-            prop_assert!(false, "matmul_tn {d}x{m}x{n} t={threads} tile={tile:?}: {v}");
+            prop_assert!(false, "matmul_tn {d}x{m}x{n} t={threads}: {v}");
         }
     }
 }
 
-/// A left operand at most a quarter nonzero adds the strict zero-skipping
-/// kernel to the fast tier's autotuned candidates. Whichever kernel wins a
-/// shape, `matmul_into`, `matmul_tn_into` and `matmul_nt_into` stay within
-/// the depth bound at every thread count, on one-hot rows and on scattered
-/// nonzeros, over wide outputs (where the zero-skip wins) and 32-column
-/// ones (where the tiles do).
+/// A left operand at most a quarter nonzero runs the strict zero-skipping
+/// kernel on both tiers when the output is at least 32 columns wide, so
+/// `matmul_into`, `matmul_tn_into` and `matmul_nt_into` store the strict
+/// bits there at every thread count, on one-hot rows and on scattered
+/// nonzeros. A narrower output runs the fused tile and stays within the
+/// depth bound.
 #[test]
 fn sparse_lhs_fast_matmul_within_depth_bound() {
     let _lab = KnobLab::new();
-    for (m, k, n) in [(256, 154, 128), (64, 154, 32), (37, 70, 45)] {
+    for (m, k, n) in [(256, 154, 128), (64, 154, 32), (37, 70, 45), (64, 154, 16)] {
         // One-hot rows over 22 groups of 7 when k = 154, else every fifth
         // entry nonzero.
         let dense = Tensor::uniform(&[m, k], -2.0, 2.0, (m * k + n) as u64);
@@ -192,51 +180,60 @@ fn sparse_lhs_fast_matmul_within_depth_bound() {
                 }
             })
             .collect();
+        // The same operand read as aᵀ for `matmul_tn_into`: [k, m] stored,
+        // so the product is [m, n] again with depth k.
+        let mut at = vec![0.0f32; m * k];
+        for i in 0..m {
+            for p in 0..k {
+                at[p * m + i] = a[i * k + p];
+            }
+        }
         let b = Tensor::uniform(&[k, n], -2.0, 2.0, (m + k * n) as u64);
+        // `matmul_nt_into` takes b stored as bᵀ ([n, k]).
+        let b_t = b.transpose();
         for threads in [1, 2, 4] {
-            let (strict, fast, scale) = matmul_triple(
-                |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
-                &a,
-                b.as_slice(),
-                m * n,
-                threads,
-                None,
-            );
-            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-                panic!("sparse matmul {m}x{k}x{n} t={threads}: {v}");
-            }
-            // The same operand read as aᵀ for `matmul_tn_into`: [k, m]
-            // stored, so the product is [m, n] again with depth k.
-            let mut at = vec![0.0f32; m * k];
-            for i in 0..m {
-                for p in 0..k {
-                    at[p * m + i] = a[i * k + p];
+            let runs = [
+                (
+                    "matmul",
+                    matmul_triple(
+                        |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
+                        &a,
+                        b.as_slice(),
+                        m * n,
+                        threads,
+                    ),
+                ),
+                (
+                    "matmul_tn",
+                    matmul_triple(
+                        |a, b, out| kernels::matmul_tn_into(a, b, k, m, n, out),
+                        &at,
+                        b.as_slice(),
+                        m * n,
+                        threads,
+                    ),
+                ),
+                (
+                    "matmul_nt",
+                    matmul_triple(
+                        |a, b, out| kernels::matmul_nt_into(a, b, m, k, n, out),
+                        &a,
+                        b_t.as_slice(),
+                        m * n,
+                        threads,
+                    ),
+                ),
+            ];
+            for (what, (strict, fast, scale)) in runs {
+                if n >= 32 {
+                    let equal = strict
+                        .iter()
+                        .zip(&fast)
+                        .all(|(s, f)| s.to_bits() == f.to_bits());
+                    assert!(equal, "sparse {what} {m}x{k}x{n} t={threads}: bits differ");
+                } else if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
+                    panic!("sparse {what} {m}x{k}x{n} t={threads}: {v}");
                 }
-            }
-            let (strict, fast, scale) = matmul_triple(
-                |a, b, out| kernels::matmul_tn_into(a, b, k, m, n, out),
-                &at,
-                b.as_slice(),
-                m * n,
-                threads,
-                None,
-            );
-            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-                panic!("sparse matmul_tn {k}x{m}x{n} t={threads}: {v}");
-            }
-            // The same product through `matmul_nt_into`, with b stored as
-            // bᵀ ([n, k]).
-            let b_t = b.transpose();
-            let (strict, fast, scale) = matmul_triple(
-                |a, b, out| kernels::matmul_nt_into(a, b, m, k, n, out),
-                &a,
-                b_t.as_slice(),
-                m * n,
-                threads,
-                None,
-            );
-            if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-                panic!("sparse matmul_nt {m}x{k}x{n} t={threads}: {v}");
             }
         }
     }
@@ -248,10 +245,10 @@ proptest! {
     #[test]
     fn conv2d_fast_within_depth_bound(
         n in 1usize..3, cin in 1usize..4, cout in 1usize..5, hw in 5usize..9,
-        ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
+        ti in 0usize..3, seed in 0u64..100_000,
     ) {
         let _lab = KnobLab::new();
-        let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
+        let threads = threads_from_index(ti);
         let spec = Conv2dSpec { kernel: 3, stride: 1, padding: 1 };
         let ho = spec.out_size(hw);
         let tx = Tensor::uniform(&[n, cin, hw, hw], -2.0, 2.0, seed);
@@ -264,7 +261,7 @@ proptest! {
         let scale_y = conv2d_forward(&ax, &aw, spec);
         let (scale_gx, scale_gw) = conv2d_backward(&ax, &aw, spec, &ag);
 
-        enter_fast(threads, tile);
+        enter_fast(threads);
         let fast_y = conv2d_forward(&tx, &tw, spec);
         let (fast_gx, fast_gw) = conv2d_backward(&tx, &tw, spec, &tg);
         restore_defaults();
@@ -280,7 +277,7 @@ proptest! {
             if let Err(v) = bound.check(fast.as_slice(), strict.as_slice(), scale.as_slice()) {
                 prop_assert!(
                     false,
-                    "conv2d {what} n={n} cin={cin} cout={cout} hw={hw} t={threads} tile={tile:?}: {v}"
+                    "conv2d {what} n={n} cin={cin} cout={cout} hw={hw} t={threads}: {v}"
                 );
             }
         }
@@ -305,7 +302,7 @@ proptest! {
         let scale_y = dwconv2d_forward(&ax, &aw, spec);
         let (scale_gx, scale_gw) = dwconv2d_backward(&ax, &aw, spec, &ag);
 
-        enter_fast(threads, None);
+        enter_fast(threads);
         let fast_y = dwconv2d_forward(&tx, &tw, spec);
         let (fast_gx, fast_gw) = dwconv2d_backward(&tx, &tw, spec, &tg);
         restore_defaults();
@@ -346,7 +343,7 @@ proptest! {
         let (mut ws, mut ms, mut vs) = (w0.clone(), m0.clone(), v0.clone());
         kernels::adam_update(&mut ws, &g, &mut ms, &mut vs, &h);
 
-        enter_fast(1, None);
+        enter_fast(1);
         let (mut wf, mut mf, mut vf) = (w0.clone(), m0, v0);
         kernels::adam_update(&mut wf, &g, &mut mf, &mut vf, &h);
         restore_defaults();
@@ -362,52 +359,50 @@ proptest! {
 
 /// The k-split per-thread partial-sum driver engages when the output has
 /// fewer rows than `threads × tile rows` and the product is above the
-/// parallel threshold — pin that shape explicitly for both tiles.
+/// parallel threshold — pin that for each fused tile: 6 rows run the 4×16,
+/// 16 rows by 48 columns the 8×32 where the CPU has AVX-512F.
 #[test]
 fn ksplit_partial_sums_within_bound() {
     let _lab = KnobLab::new();
-    let (m, k, n) = (6usize, 8192usize, 48usize);
-    assert!(
-        m * k * n >= 1 << 21,
-        "shape must cross the parallel threshold"
-    );
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, 42);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, 43);
-    for tile in TILES {
+    for (m, k, n) in [(6usize, 8192usize, 48usize), (16, 4608, 48)] {
+        assert!(
+            m * k * n >= 1 << 21,
+            "shape must cross the parallel threshold"
+        );
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, 42);
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 43);
         let (strict, fast, scale) = matmul_triple(
             |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
             a.as_slice(),
             b.as_slice(),
             m * n,
             4,
-            tile,
         );
         if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-            panic!("k-split {m}x{k}x{n} tile {tile:?}: {v}");
+            panic!("k-split {m}x{k}x{n}: {v}");
         }
     }
 }
 
-/// Row-partitioned threading (every thread owns full row blocks) for both
-/// tiles, above the parallel threshold.
+/// Row-partitioned threading (every thread owns full row blocks) above the
+/// parallel threshold, for each fused tile: 64 columns run the 8×32 where
+/// the CPU has AVX-512F, 16 columns the 4×16.
 #[test]
 fn row_partitioned_threads_within_bound() {
     let _lab = KnobLab::new();
-    let (m, k, n) = (256usize, 256usize, 64usize);
-    assert!(m * k * n >= 1 << 21);
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, 44);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, 45);
-    for tile in TILES {
+    for (m, k, n) in [(256usize, 256usize, 64usize), (512, 320, 16)] {
+        assert!(m * k * n >= 1 << 21);
+        let a = Tensor::uniform(&[m, k], -1.0, 1.0, 44);
+        let b = Tensor::uniform(&[k, n], -1.0, 1.0, 45);
         let (strict, fast, scale) = matmul_triple(
             |a, b, out| kernels::matmul_into(a, b, m, k, n, out),
             a.as_slice(),
             b.as_slice(),
             m * n,
             4,
-            tile,
         );
         if let Err(v) = ReductionBound::matmul(k).check(&fast, &strict, &scale) {
-            panic!("row-partitioned {m}x{k}x{n} tile {tile:?}: {v}");
+            panic!("row-partitioned {m}x{k}x{n}: {v}");
         }
     }
 }
