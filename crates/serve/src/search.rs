@@ -112,6 +112,15 @@ pub enum SearchServeError {
     Draining,
     /// The submission contained no jobs.
     EmptySweep,
+    /// A job of the submission could never run: its target is not finite
+    /// and positive, or its schedule fails [`SearchConfig::validate`]
+    /// (`lightnas::SearchConfig`). Nothing of the sweep was queued.
+    InvalidJob {
+        /// Position of the first such job in the submission.
+        index: usize,
+        /// Why it cannot run.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SearchServeError {
@@ -131,6 +140,9 @@ impl std::fmt::Display for SearchServeError {
             }
             SearchServeError::Draining => write!(f, "search service is draining"),
             SearchServeError::EmptySweep => write!(f, "sweep contains no jobs"),
+            SearchServeError::InvalidJob { index, reason } => {
+                write!(f, "job {index} of the sweep is invalid: {reason}")
+            }
         }
     }
 }
@@ -145,8 +157,23 @@ impl SearchServeError {
             SearchServeError::Overloaded { .. } => "overloaded",
             SearchServeError::Draining => "draining",
             SearchServeError::EmptySweep => "empty",
+            SearchServeError::InvalidJob { .. } => "invalid_job",
         }
     }
+}
+
+/// The first job of `jobs` a search stepper would refuse, as
+/// [`SearchServeError::InvalidJob`]: a target that is not finite and
+/// positive, or a schedule that fails `SearchConfig::validate`.
+fn first_invalid_job(jobs: &[SearchJob]) -> Option<SearchServeError> {
+    jobs.iter().enumerate().find_map(|(index, job)| {
+        let reason = if job.target.is_finite() && job.target > 0.0 {
+            job.config.validate().err()?.to_string()
+        } else {
+            format!("target must be finite and positive, got {}", job.target)
+        };
+        Some(SearchServeError::InvalidJob { index, reason })
+    })
 }
 
 /// One entry of the service's typed audit trail, in event order.
@@ -260,6 +287,7 @@ pub struct SearchService<'a, P: Predictor + Sync> {
     executed_sweeps: AtomicU64,
     rejected_sweeps: AtomicU64,
     rejected_draining: AtomicU64,
+    rejected_invalid: AtomicU64,
 }
 
 impl<'a, P: Predictor + Sync> SearchService<'a, P> {
@@ -284,6 +312,7 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             executed_sweeps: AtomicU64::new(0),
             rejected_sweeps: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
+            rejected_invalid: AtomicU64::new(0),
         }
     }
 
@@ -345,16 +374,20 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
     /// execution queue and the returned [`SweepTicket`] names it; every
     /// refusal is typed, audited, and emitted to telemetry.
     ///
-    /// Admission is two-gated, checked in this order: the tenant's own
-    /// [`TenantQuota`] (its queued jobs plus this submission must fit), then
-    /// the shared [`AdmissionPolicy`] watermark for `priority` (total queued
-    /// jobs plus this submission must fit). Quota first, so a flooding
-    /// tenant is told about *its* limit, not the shared one.
+    /// Every job must be able to run: a sweep with a job whose target is
+    /// not finite and positive, or whose schedule fails validation, is
+    /// refused whole, before any capacity is charged. Admission is then
+    /// two-gated, checked in this order: the tenant's own [`TenantQuota`]
+    /// (its queued jobs plus this submission must fit), then the shared
+    /// [`AdmissionPolicy`] watermark for `priority` (total queued jobs plus
+    /// this submission must fit). Quota first, so a flooding tenant is told
+    /// about *its* limit, not the shared one.
     ///
     /// # Errors
     ///
     /// [`SearchServeError::Draining`] after [`drain`](Self::drain);
     /// [`SearchServeError::EmptySweep`] for zero jobs;
+    /// [`SearchServeError::InvalidJob`] for a job that cannot run;
     /// [`SearchServeError::QuotaExceeded`] /
     /// [`SearchServeError::Overloaded`] per the gates above.
     pub fn submit_sweep(
@@ -371,6 +404,8 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             Err(SearchServeError::Draining)
         } else if jobs.is_empty() {
             Err(SearchServeError::EmptySweep)
+        } else if let Some(invalid) = first_invalid_job(&jobs) {
+            Err(invalid)
         } else {
             let queued = state.per_tenant.get(tenant).copied().unwrap_or(0);
             let quota = self.config.quota_for(tenant).max_queued_jobs;
@@ -426,16 +461,17 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             }
             Err(error) => {
                 drop(state);
-                if matches!(error, SearchServeError::Draining) {
-                    self.rejected_draining.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.rejected_sweeps.fetch_add(1, Ordering::Relaxed);
-                }
+                let counter = match error {
+                    SearchServeError::Draining => &self.rejected_draining,
+                    SearchServeError::InvalidJob { .. } => &self.rejected_invalid,
+                    _ => &self.rejected_sweeps,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 self.record(SearchEvent::SweepRejected {
                     sweep,
                     tenant: tenant.to_string(),
                     priority,
-                    jobs: 0,
+                    jobs: jobs.len(),
                     error: error.clone(),
                 });
                 if let Some(t) = self.telemetry {
@@ -575,7 +611,7 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             degraded: 0,
             rejected_overloaded: self.rejected_sweeps.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            rejected_malformed: 0,
+            rejected_malformed: self.rejected_invalid.load(Ordering::Relaxed),
             deadline_expired: 0,
             batches: 0,
             model_generation: 0,
@@ -595,7 +631,9 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
 
 /// Audit well-formedness: every admitted sweep is eventually done (when
 /// `expect_drained`), ids are unique per event kind, and every rejection
-/// carries a matching typed error. Returns a human-readable violation.
+/// carries a matching typed error: a quota refusal's counts exceed its
+/// limit and match the sweep's size, and an invalid job lies inside the
+/// sweep. Returns a human-readable violation.
 pub fn search_audit_is_well_formed(
     events: &[SearchEvent],
     expect_drained: bool,
@@ -619,7 +657,9 @@ pub fn search_audit_is_well_formed(
                     return Err(format!("sweep {sweep} done twice"));
                 }
             }
-            SearchEvent::SweepRejected { sweep, error, .. } => {
+            SearchEvent::SweepRejected {
+                sweep, error, jobs, ..
+            } => {
                 if admitted.contains(sweep) {
                     return Err(format!("sweep {sweep} both admitted and rejected"));
                 }
@@ -636,6 +676,16 @@ pub fn search_audit_is_well_formed(
                         return Err(format!(
                             "sweep {sweep}: quota rejection with consistent-looking counts \
                              ({queued}+{submitted} <= {limit})"
+                        ));
+                    }
+                    SearchServeError::QuotaExceeded { submitted, .. } if submitted != jobs => {
+                        return Err(format!(
+                            "sweep {sweep}: quota rejection of {submitted} jobs audited as {jobs}"
+                        ));
+                    }
+                    SearchServeError::InvalidJob { index, .. } if index >= jobs => {
+                        return Err(format!(
+                            "sweep {sweep}: invalid job {index} past its {jobs} jobs"
                         ));
                     }
                     _ => {}

@@ -201,13 +201,19 @@ fn a_flooding_tenant_hits_its_quota_before_the_shared_watermark() {
     let rejected: Vec<_> = audit
         .iter()
         .filter_map(|e| match e {
-            SearchEvent::SweepRejected { tenant, error, .. } => Some((tenant.clone(), error)),
+            SearchEvent::SweepRejected {
+                tenant,
+                error,
+                jobs,
+                ..
+            } => Some((tenant.clone(), error, *jobs)),
             _ => None,
         })
         .collect();
     assert_eq!(rejected.len(), 1);
     assert_eq!(rejected[0].0, "flood");
     assert_eq!(rejected[0].1, &rejection);
+    assert_eq!(rejected[0].2, 4, "the refused sweep's size is recorded");
 }
 
 #[test]
@@ -238,6 +244,140 @@ fn draining_and_empty_sweeps_are_typed_rejections() {
     assert!(health.draining);
     assert!(!health.ready);
     assert_eq!(health.rejected_draining, 1);
+    let sizes: Vec<usize> = service
+        .audit()
+        .iter()
+        .filter_map(|e| match e {
+            SearchEvent::SweepRejected { jobs, .. } => Some(*jobs),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sizes, [0, 1], "each refusal records its sweep's size");
+}
+
+#[test]
+fn a_sweep_with_a_nan_target_is_refused_at_admission() {
+    // Before admission checked jobs, this 3-job sweep was admitted and
+    // charged to the tenant's quota, and its middle job then failed all
+    // three supervised attempts ("panicked: target must be positive, got
+    // NaN") when the stepper was built.
+    let f = fixture();
+    let service = SearchService::new(
+        &f.oracle,
+        &f.predictor,
+        SearchServiceConfig::default(),
+        None,
+    );
+    let jobs = SearchJob::grid(&[19.0, f64::NAN, 25.0], &[0], tiny_config());
+    let err = service
+        .submit_sweep("acme", Priority::Normal, jobs)
+        .expect_err("a NaN target must be refused");
+    match &err {
+        SearchServeError::InvalidJob { index, reason } => {
+            assert_eq!(*index, 1);
+            assert!(reason.contains("NaN"), "{reason}");
+        }
+        other => panic!("expected InvalidJob, got {other:?}"),
+    }
+    assert_eq!(err.tag(), "invalid_job");
+    assert_eq!(service.queued_jobs_for("acme"), 0, "nothing charged");
+    assert_eq!(service.queued_jobs(), 0);
+    assert!(service.run_queued().is_empty(), "nothing runs");
+    match service.audit().as_slice() {
+        [SearchEvent::SweepRejected { jobs, error, .. }] => {
+            assert_eq!(*jobs, 3);
+            assert_eq!(error, &err);
+        }
+        other => panic!("expected one audited refusal, got {other:?}"),
+    }
+    let health = service.health();
+    assert_eq!(health.rejected_malformed, 1);
+    assert!(health.fully_accounted(), "{health:?}");
+    search_audit_is_well_formed(&service.audit(), true).expect("audit well-formed");
+}
+
+/// A job's schedule and target with one seeded fault, or none: the target
+/// becomes NaN, ±inf, zero, negative or tiny, or one schedule field breaks
+/// (warm-up swallowing the schedule, zero steps, a learning rate or
+/// temperature that is zero, negative, NaN or inverted).
+fn mutated_job(next: &mut impl FnMut() -> u64) -> SearchJob {
+    let mut job = SearchJob::new(20.0, next() % 4, tiny_config());
+    let pick = |v: &[f64], r: u64| v[(r % v.len() as u64) as usize];
+    let odd = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -1.5,
+        1e-300,
+        3.0,
+    ];
+    match next() % 8 {
+        0 => job.target = pick(&odd, next()),
+        1 => job.config.warmup_epochs = (next() % 10) as usize,
+        2 => job.config.steps_per_epoch = (next() % 3) as usize,
+        3 => job.config.alpha_lr = pick(&odd, next()),
+        4 => job.config.lambda_lr = pick(&odd, next()),
+        5 => job.config.tau_end = pick(&odd, next()),
+        6 => job.config.tau_start = pick(&odd, next()),
+        _ => {}
+    }
+    job
+}
+
+#[test]
+fn mutated_jobs_are_admitted_exactly_when_every_job_can_run() {
+    // Admission only: 10,000+ jobs in sweeps of 1 to 5, each mutated or
+    // not, under quotas and watermarks too large to refuse anything. No
+    // submission may panic, and each must be admitted exactly when every
+    // target is finite and positive and every schedule validates; a
+    // refusal names the first job that cannot run.
+    let f = fixture();
+    let config = SearchServiceConfig {
+        admission: AdmissionPolicy {
+            capacity: usize::MAX,
+            normal_mark: usize::MAX,
+            low_mark: usize::MAX,
+        },
+        default_quota: TenantQuota {
+            max_queued_jobs: usize::MAX,
+        },
+        ..SearchServiceConfig::default()
+    };
+    let service = SearchService::new(&f.oracle, &f.predictor, config, None);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let runs =
+        |j: &SearchJob| j.target.is_finite() && j.target > 0.0 && j.config.validate().is_ok();
+    let (mut jobs_seen, mut admitted, mut refused) = (0usize, 0usize, 0usize);
+    while jobs_seen < 10_000 {
+        let jobs: Vec<SearchJob> = (0..1 + next() % 5)
+            .map(|_| mutated_job(&mut next))
+            .collect();
+        jobs_seen += jobs.len();
+        let first_bad = jobs.iter().position(|j| !runs(j));
+        match (service.submit_sweep("t", Priority::Normal, jobs), first_bad) {
+            (Ok(_), None) => admitted += 1,
+            (Err(SearchServeError::InvalidJob { index, .. }), Some(bad)) => {
+                assert_eq!(index, bad, "the refusal names the first bad job");
+                refused += 1;
+            }
+            (verdict, bad) => panic!("verdict {verdict:?} for first bad job {bad:?}"),
+        }
+    }
+    assert!(
+        admitted > 100 && refused > 100,
+        "{admitted} admitted, {refused} refused"
+    );
+    let health = service.health();
+    assert_eq!(health.rejected_malformed, refused as u64);
+    search_audit_is_well_formed(&service.audit(), false).expect("audit well-formed");
 }
 
 /// Deterministic chaos: a seeded storm of submissions from five tenants —

@@ -927,8 +927,8 @@ impl Graph {
                     let (m, k) = (av.shape().dim(0), av.shape().dim(1));
                     let n = bv.shape().dim(1);
                     // ga = g · bᵀ and gb = aᵀ · g through the GEMM's
-                    // transposing entry points (each transposes into a
-                    // pooled buffer, then runs `matmul_into`); bit-identical
+                    // transposing entry points (`a·bᵀ` transposes `b` into a
+                    // pooled buffer, `aᵀ·b` reads `a` in place); bit-identical
                     // to `matmul(transpose())`. Each runs only when its operand
                     // requires a gradient: an input batch on the left would
                     // otherwise cost the step's largest GEMM for a delta

@@ -203,7 +203,7 @@ pub(crate) fn conv2d_forward_into(
     let mut cols = with_pool(|pool| pool.take_zeroed(rows * ck2));
     im2col_into(input, spec, &mut cols);
     // prod = cols · weightᵀ; the weight is already the [cout, cin·k·k]
-    // matrix, and the NT variant folds its transpose into panel packing.
+    // matrix, which the NT variant transposes into a pooled buffer.
     // The GEMM overwrites every element of `prod`: no zeroing needed.
     let mut prod = with_pool(|pool| pool.take_filled(rows * c_out));
     kernels::matmul_nt_into(&cols, weight.as_slice(), rows, ck2, c_out, &mut prod);
@@ -292,7 +292,7 @@ pub(crate) fn conv2d_backward_into(
     let mut cols = with_pool(|pool| pool.take_zeroed(rows * ck2));
     im2col_into(input, spec, &mut cols);
     // grad_weight = g_mat^T · cols  -> [cout, cin·k·k]; the TN variant
-    // gathers g_mat's columns tile-by-tile, so no transpose materializes.
+    // reads g_mat's columns in place, so no transpose materializes.
     kernels::matmul_tn_into(&g_mat, &cols, rows, c_out, ck2, gw);
     // grad_cols = g_mat · w_mat    -> [n·ho·wo, cin·k·k]; the weight is
     // already laid out as the [cout, cin·k·k] matrix.

@@ -16,55 +16,71 @@
 //! reductions, or FMA contraction — each of those changes rounding and would
 //! break the repo-wide byte-identical checkpoint invariant.
 //!
-//! **One GEMM, one kernel choice.** [`matmul_into`] is the only GEMM:
-//! [`matmul_nt_into`] and [`matmul_tn_into`] transpose their transposed
-//! operand into a pooled buffer (a pure permutation; a one-column `aᵀ·b`
-//! needs none, below) and call it. It chooses a product's kernel once, by
-//! one list that serves both tiers: the axpy loop below 4 rows or 4,096
-//! multiply-adds, then the one-row rewrite of a one-column product, then
-//! the zero-skipping kernel for a left operand at most a quarter nonzero,
-//! then the size rule's tile — with SIMD on, 8×32 where the CPU has
-//! AVX-512F and the output holds one whole 8×32 tile, else 4×16; portable
-//! 4×8 with SIMD off. The strict tier runs the tile's multiply-then-add
-//! stamp, the fast tier its fused stamp, so no choice depends on a timing
-//! and the fast tier's bits depend only on the CPU, the thread count and
-//! the SIMD switch. One tiling loop runs every tile of both tiers. That
-//! loop gathers a short row block into a zero-padded strip and runs a
-//! narrow panel into a scratch tile, so a tile never sees an edge and no
-//! padded row or column is stored.
+//! **One GEMM, one kernel choice.** Every product runs through one GEMM
+//! and one kernel-choice list that serves both tiers: [`matmul_into`] on a
+//! row-major left operand, [`matmul_tn_into`] on the transpose of a stored
+//! one, and [`matmul_nt_into`], which transposes its right operand into a
+//! pooled buffer (a pure permutation) and calls [`matmul_into`]. The list:
+//! the one-row rewrite for a one-column output of two rows or more, the
+//! axpy loop below 4 rows or 4,096 multiply-adds, the zero-skipping kernel
+//! for a left operand at most a quarter nonzero, then the size rule's tile
+//! — with SIMD on, 8×32 where the CPU has AVX-512F and the output holds one
+//! whole 8×32 tile, else 4×16; portable 4×8 with SIMD off. The strict tier
+//! runs the tile's multiply-then-add stamp, the fast tier its fused stamp,
+//! so no choice depends on a timing and the fast tier's bits depend only on
+//! the CPU, the thread count and the SIMD switch. One tiling loop runs
+//! every tile of both tiers. That loop gathers a short row block into a
+//! zero-padded strip and runs a narrow panel into a scratch tile, so a tile
+//! never sees an edge and no padded row or column is stored.
+//!
+//! **Operand layouts.** Each kernel reads the left operand through two
+//! strides, one between output rows and one between reduction steps: a
+//! row-major `[m, k]` operand has them `k` and `1`, and the transpose of a
+//! stored `[k, m]` matrix `1` and `m`. So [`matmul_tn_into`] makes no
+//! transpose. Its tiles read `aᵀ` in place, each reduction step's entries
+//! of a row block side by side; the short-row-block strip and the fast
+//! tier's reduction split gather through the same strides; a tiny product
+//! runs the axpy loop on them; and a sparse one runs the zero-skipping
+//! kernel's scatter form (*Sparse dispatch*). Each kernel keeps its chains,
+//! so the layout moves no bit.
 //!
 //! **One-column outputs.** A product with one output column would spend
-//! all but one of a panel's columns on dead work, so it runs as its
-//! transpose instead: `a·b = (bᵀ·aᵀ)ᵀ`, a product with one output row `m`
-//! wide, on the axpy loop that serves every product of one row. For one
-//! column `bᵀ` is `b` and the result's transpose is the result, so only
-//! `a` is transposed, and [`matmul_tn_into`], whose `aᵀ·b` is `(bᵀ·a)ᵀ`,
-//! transposes nothing. Each element still adds `b[p]·a[i][p]` in ascending
-//! `p` from `+0.0`; IEEE multiplication commutes, so on the strict tier
-//! every kept term has the reference's bits. The loop skips the zero
-//! entries of `b` instead of `a`'s: for finite operands a skipped term is
-//! `±0.0` either way (see *Sparse dispatch*; [`matmul_into`] says what
-//! differs for non-finite ones). Wider narrow outputs stay on the tile: the
-//! loop passes over its output once per column, and from two columns on
-//! that lost to one padded panel (DESIGN.md §8).
+//! all but one of a panel's columns on dead work, and on the axpy loop one
+//! call per multiply-add, so from two rows on, at every size, it runs as
+//! its transpose instead: `a·b = (bᵀ·aᵀ)ᵀ`, a product with one output row
+//! `m` wide, on the axpy loop that serves every product of one row. For one
+//! column `bᵀ` is `b` and the result's transpose is the result, so
+//! [`matmul_into`] transposes only `a`, and [`matmul_tn_into`], whose
+//! `aᵀ·b` is `(bᵀ·a)ᵀ`, transposes nothing. Each element still adds
+//! `b[p]·a[i][p]` in ascending `p` from `+0.0`; IEEE multiplication
+//! commutes, so on the strict tier every kept term has the reference's
+//! bits. The loop skips the zero entries of `b` instead of `a`'s: for
+//! finite operands a skipped term is `±0.0` either way (see *Sparse
+//! dispatch*; [`matmul_into`] says what differs for non-finite ones). Wider
+//! narrow outputs stay on the tile: the loop passes over its output once
+//! per column, and from two columns on that lost to one padded panel
+//! (DESIGN.md §8).
 //!
-//! **Sparse dispatch.** [`matmul_into`], and so all three entry points,
-//! counts the left operand's nonzero entries in one vectorized pass that
-//! stops as soon as the count passes a quarter of them. When at most a
-//! quarter are nonzero and the output is at least 32 columns wide, the
-//! product runs the zero-skipping row kernel instead of the packed tiles,
-//! on both tiers: its AVX2 body in the `simd` module, which keeps each
-//! output row's accumulators in registers, or the axpy loop with SIMD off.
-//! Both limits are constants (DESIGN.md §8 has the measurements), never
-//! knobs. Skipping a zero term moves no bit: every accumulator starts at
-//! `+0.0`, and with a finite right operand the skipped term is `±0.0`,
+//! **Sparse dispatch.** The kernel choice counts the left operand's nonzero
+//! entries in one vectorized pass that stops as soon as the count passes a
+//! quarter of them. When at most a quarter are nonzero and the output is at
+//! least 32 columns wide, the product runs the zero-skipping kernel instead
+//! of the packed tiles, on both tiers. With SIMD on that is the widest
+//! stamp the CPU has, AVX-512F or AVX2, of the one body in the `simd`
+//! module: its gather form on a row-major operand keeps each output row's
+//! accumulators in registers, its scatter form on a transposed one keeps a
+//! row of `b` in registers and adds it into the output rows that row's
+//! nonzeros name. With SIMD off it is the axpy loop on the operand's
+//! strides. Both limits are constants (DESIGN.md §8 has the measurements),
+//! never knobs. Skipping a zero term moves no bit: every accumulator starts
+//! at `+0.0`, and with a finite right operand the skipped term is `±0.0`,
 //! which cannot change an accumulator that started at `+0.0` (it can never
 //! have become `−0.0`) — the rule the skinny axpy path and the
 //! [`matmul_ref`] oracle already rely on. The predictor fit's one-hot input
-//! batch (22 of 154 entries nonzero) takes this path in `x·W1` and `xᵀ·g`;
-//! its first hidden layer's ReLU output, more than half nonzero, stays
-//! packed. The kernel never contracts, so on the fast tier too these
-//! products store the strict bits.
+//! batch (22 of 154 entries nonzero) takes this path in `x·W1` (gather) and
+//! `xᵀ·g` (scatter); its first hidden layer's ReLU output, more than half
+//! nonzero, stays packed. The kernel never contracts, so on the fast tier
+//! too these products store the strict bits.
 //!
 //! The thread count is a process-wide knob ([`set_num_threads`], default 1 =
 //! serial). It is intentionally *not* part of
@@ -343,8 +359,8 @@ const COUNT_CHUNK: usize = 1024;
 const SCRATCH_LEN: usize = 8 * 32;
 
 /// `out = a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`) — the one
-/// GEMM behind every product in the crate, and the one place that chooses
-/// which kernel a product runs.
+/// GEMM behind every product in the crate, and with [`matmul_tn_into`] the
+/// entry to the one place that chooses which kernel a product runs.
 ///
 /// Byte-identical to the naive triple loop for finite inputs — each output
 /// element accumulates `a[i][p] * b[p][j]` in ascending `p` with a single
@@ -355,9 +371,10 @@ const SCRATCH_LEN: usize = 8 * 32;
 /// Non-finite operands can give other results than the triple loop's,
 /// because the kernels leave out different `±0.0` terms: the loop and the
 /// axpy and zero-skipping kernels skip zero entries of `a`, the packed
-/// tiles skip nothing, and a one-column product skips zero entries of `b`.
-/// So `inf · 0` is NaN on a tile, and on a one-column product with the
-/// zero in `b` it adds nothing where the loop's sum turns NaN.
+/// tiles skip nothing, and a one-column product of two rows or more, at
+/// every size, skips zero entries of `b`. So `inf · 0` is NaN on a tile,
+/// and on such a one-column product with the zero in `b` it adds nothing
+/// where the loop's sum turns NaN.
 ///
 /// # Panics
 ///
@@ -366,6 +383,50 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     assert_eq!(a.len(), m * k, "matmul lhs length mismatch");
     assert_eq!(b.len(), k * n, "matmul rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul output length mismatch");
+    gemm(Lhs::rows(a, k), b, m, k, n, out);
+}
+
+/// How a product's left operand lies in memory: entry `(i, p)` of the
+/// `m × k` operand is `a[i·row + p·depth]`.
+#[derive(Debug, Clone, Copy)]
+struct Lhs<'a> {
+    a: &'a [f32],
+    /// Distance between consecutive output rows' entries.
+    row: usize,
+    /// Distance between consecutive reduction steps' entries.
+    depth: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// A row-major `[m, k]` operand, as [`matmul_into`] takes it.
+    fn rows(a: &'a [f32], k: usize) -> Self {
+        Self {
+            a,
+            row: k,
+            depth: 1,
+        }
+    }
+
+    /// The transpose of a row-major `[k, m]` matrix, as [`matmul_tn_into`]
+    /// takes it: its rows are the operand's columns.
+    fn columns(a: &'a [f32], m: usize) -> Self {
+        Self {
+            a,
+            row: 1,
+            depth: m,
+        }
+    }
+
+    /// Whether each output row's entries are contiguous, as in
+    /// [`Self::rows`]. For one output row both layouts are.
+    fn row_major(self) -> bool {
+        self.depth == 1
+    }
+}
+
+/// `out = a · b` for the `m × k` left operand `lhs` and row-major `b`
+/// (`[k, n]`): runs the kernel [`kernel_for`] chooses.
+fn gemm(lhs: Lhs, b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     if m == 0 || n == 0 {
         return;
     }
@@ -374,17 +435,20 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         return;
     }
     let use_simd = crate::simd::simd_enabled();
-    match kernel_for(a, m, k, n, use_simd, crate::mode::fast_active()) {
-        Kernel::Axpy => gemm_axpy(a, b, k, n, 0, use_simd, out),
-        Kernel::OneRow => {
-            with_transposed(a, m, k, |at| gemm_axpy(b, at, k, m, 0, use_simd, out));
+    match kernel_for(lhs, m, k, n, use_simd, crate::mode::fast_active()) {
+        Kernel::Axpy => gemm_axpy(lhs, b, k, n, 0, use_simd, out),
+        Kernel::OneRow if lhs.row_major() => {
+            with_transposed(lhs.a, m, k, |at| {
+                gemm_axpy(Lhs::rows(b, k), at, k, m, 0, use_simd, out);
+            });
         }
-        Kernel::Sparse(nonzeros) => gemm_sparse(a, b, k, n, nonzeros, use_simd, out),
-        Kernel::Tiled(tile) => gemm_tiled(a, b, m, k, n, tile, out),
+        Kernel::OneRow => gemm_axpy(Lhs::rows(b, k), lhs.a, k, m, 0, use_simd, out),
+        Kernel::Sparse(nonzeros) => gemm_sparse(lhs, b, k, n, nonzeros, use_simd, out),
+        Kernel::Tiled(tile) => gemm_tiled(lhs, b, m, k, n, tile, out),
     }
 }
 
-/// A kernel [`matmul_into`] can run a product on.
+/// A kernel [`gemm`] can run a product on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kernel {
     /// The axpy loop, for products too small to pack.
@@ -397,17 +461,18 @@ enum Kernel {
     Tiled(Tile),
 }
 
-/// The one kernel-choice list, for both tiers (module docs): the axpy loop
-/// for a tiny product, the one-row rewrite for one output column, the
-/// zero-skipping kernel for a sparse left operand, else the tile for the
-/// output's size. `fast` is whether the fast tier is active, which implies
-/// `use_simd`.
-fn kernel_for(a: &[f32], m: usize, k: usize, n: usize, use_simd: bool, fast: bool) -> Kernel {
-    if m < MR || m * k * n < PACK_MIN_FLOPS {
-        Kernel::Axpy
-    } else if n == 1 {
+/// The one kernel-choice list, for both tiers and both operand layouts
+/// (module docs): the one-row rewrite for one output column and at least
+/// two rows, the axpy loop for a tiny product, the zero-skipping kernel for
+/// a sparse left operand, else the tile for the output's size. `fast` is
+/// whether the fast tier is active, which implies `use_simd`. Each kernel
+/// reads `lhs` in its own layout, so the choice is the same for both.
+fn kernel_for(lhs: Lhs, m: usize, k: usize, n: usize, use_simd: bool, fast: bool) -> Kernel {
+    if n == 1 && m >= 2 {
         Kernel::OneRow
-    } else if let Some(nonzeros) = sparse_nonzeros(a, n) {
+    } else if m < MR || m * k * n < PACK_MIN_FLOPS {
+        Kernel::Axpy
+    } else if let Some(nonzeros) = sparse_nonzeros(lhs.a, n) {
         Kernel::Sparse(nonzeros)
     } else {
         Kernel::Tiled(tile_for(use_simd, fast, m, n))
@@ -429,12 +494,10 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
     with_transposed(b, n, d, |bt| matmul_into(a, bt, m, d, n, out));
 }
 
-/// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`): `a`
-/// is transposed into a pooled buffer and the product runs through
-/// [`matmul_into`]. A transpose is a pure permutation, so the bits are
-/// exactly `matmul_into(aᵀ, b)`'s. A one-column product runs as
-/// `matmul_into(bᵀ, a)` instead, which transposes nothing (module docs,
-/// *One-column outputs*).
+/// `out = aᵀ · b` for `a` stored row-major `[d, m]` and `b` (`[d, n]`),
+/// with no transpose made: every kernel reads `aᵀ` in place, through the
+/// strides of [`Lhs::columns`] (module docs, *Operand layouts*). Its
+/// chains, and so its bits, are `matmul_into(aᵀ, b)`'s.
 ///
 /// # Panics
 ///
@@ -443,11 +506,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
     assert_eq!(a.len(), d * m, "matmul_tn lhs length mismatch");
     assert_eq!(b.len(), d * n, "matmul_tn rhs length mismatch");
     assert_eq!(out.len(), m * n, "matmul_tn output length mismatch");
-    if n == 1 {
-        matmul_into(b, a, 1, d, m, out);
-    } else {
-        with_transposed(a, d, m, |at| matmul_into(at, b, m, d, n, out));
-    }
+    gemm(Lhs::columns(a, m), b, m, d, n, out);
 }
 
 /// Runs `f` on row-major `src` (`[rows, cols]`) transposed into a pooled
@@ -491,15 +550,16 @@ fn pack_panels(b: &[f32], k: usize, n: usize, width: usize, packed: &mut Vec<f32
     }
 }
 
-/// The packed GEMM `out = a · b` on `tile`, for both tiers: packs `b` at
-/// the tile's width, then splits the output rows over the kernel threads
-/// (serial below [`PAR_MIN_FLOPS`]). When the output is too short to give
-/// every thread a full row block, a fused tile splits the reduction
-/// dimension instead: each participant computes a private `m×n` partial
-/// product over its `k`-range and the partials are summed in ascending
-/// range order. That is the one place an output element is touched by more
-/// than one accumulator, so no strict tile ever reaches it.
-fn gemm_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, tile: Tile, out: &mut [f32]) {
+/// The packed GEMM `out = a · b` on `tile`, for both tiers and both
+/// layouts of `a`: packs `b` at the tile's width, then splits the output
+/// rows over the kernel threads (serial below [`PAR_MIN_FLOPS`]). When the
+/// output is too short to give every thread a full row block, a fused tile
+/// splits the reduction dimension instead: each participant computes a
+/// private `m×n` partial product over its `k`-range and the partials are
+/// summed in ascending range order. That is the one place an output
+/// element is touched by more than one accumulator, so no strict tile ever
+/// reaches it.
+fn gemm_tiled(lhs: Lhs, b: &[f32], m: usize, k: usize, n: usize, tile: Tile, out: &mut [f32]) {
     let width = tile.width();
     // Short-lived pool borrows: the pool must never stay borrowed across a
     // kernel call, which may itself take scratch buffers.
@@ -516,7 +576,7 @@ fn gemm_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, tile: Tile, ou
         let mut partials = with_pool(|pool| pool.take_filled(splits * m * n));
         par_chunks(&mut partials, m * n, splits, |gi, chunk| {
             let k0 = gi * k_per;
-            gemm_rows(a, k, 0, k0..k.min(k0 + k_per), &packed, n, tile, chunk);
+            gemm_rows(lhs, k, 0, k0..k.min(k0 + k_per), &packed, n, tile, chunk);
         });
         let (first, rest) = partials.split_at(m * n);
         out.copy_from_slice(first);
@@ -531,24 +591,25 @@ fn gemm_tiled(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, tile: Tile, ou
     } else {
         let rows_per = m.div_ceil(threads.clamp(1, m));
         par_chunks(out, rows_per * n, threads, |gi, chunk| {
-            gemm_rows(a, k, gi * rows_per, 0..k, &packed, n, tile, chunk);
+            gemm_rows(lhs, k, gi * rows_per, 0..k, &packed, n, tile, chunk);
         });
     }
     with_pool(|pool| pool.recycle(packed));
 }
 
 /// The one tiling loop: runs `tile` over the output rows `out` covers (row
-/// `first_row` onward of the row-major `[m, k]` left operand `a`), over the
-/// reduction range `ks` of panels packed for the full depth `k`.
+/// `first_row` onward of the left operand `lhs`), over the reduction range
+/// `ks` of panels packed for the full depth `k`.
 ///
-/// Full row blocks and full-width panels run the tile straight into `out`.
-/// A short row block (only the last one can be) gathers into a zero-padded
-/// LHS strip, and a narrow trailing panel lands in a scratch tile first;
-/// only live rows and columns are stored, so no tile ever sees an edge and
-/// every stored element keeps the full tile's accumulation chain.
+/// Full row blocks and full-width panels run the tile straight into `out`,
+/// reading `lhs` in place through its strides. A short row block (only the
+/// last one can be) gathers through the same strides into a zero-padded
+/// row-major strip, and a narrow trailing panel lands in a scratch tile
+/// first; only live rows and columns are stored, so no tile ever sees an
+/// edge and every stored element keeps the full tile's accumulation chain.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
-    a: &[f32],
+    lhs: Lhs,
     k: usize,
     first_row: usize,
     ks: Range<usize>,
@@ -565,26 +626,28 @@ fn gemm_rows(
     let mut r = 0;
     while r < rows {
         let h = mr.min(rows - r);
-        let (lhs, base, stride) = if h == mr {
-            (a, (first_row + r) * k + ks.start, k)
+        let start = (first_row + r) * lhs.row + ks.start * lhs.depth;
+        let src = if h == mr {
+            (lhs.a, start, lhs.row, lhs.depth)
         } else {
             strip = with_pool(|pool| pool.take_zeroed(mr * k_len));
-            for ir in 0..h {
-                let row = (first_row + r + ir) * k;
-                strip[ir * k_len..(ir + 1) * k_len]
-                    .copy_from_slice(&a[row + ks.start..row + ks.end]);
+            for (ir, row) in strip.chunks_exact_mut(k_len).take(h).enumerate() {
+                let entries = lhs.a[start + ir * lhs.row..].iter().step_by(lhs.depth);
+                for (dst, &v) in row.iter_mut().zip(entries) {
+                    *dst = v;
+                }
             }
-            (strip.as_slice(), 0, k_len)
+            (strip.as_slice(), 0, k_len, 1)
         };
         let mut panel_off = ks.start * width;
         for j0 in (0..n).step_by(width) {
             let w = width.min(n - j0);
             let panel = &packed[panel_off..panel_off + k_len * width];
             if h == mr && w == width {
-                run_tile(tile, lhs, base, stride, k_len, panel, out, r, n, j0);
+                run_tile(tile, src, k_len, panel, out, r, n, j0);
             } else {
                 let scratch = &mut scratch[..mr * width];
-                run_tile(tile, lhs, base, stride, k_len, panel, scratch, 0, width, 0);
+                run_tile(tile, src, k_len, panel, scratch, 0, width, 0);
                 for ir in 0..h {
                     out[(r + ir) * n + j0..(r + ir) * n + j0 + w]
                         .copy_from_slice(&scratch[ir * width..ir * width + w]);
@@ -599,15 +662,15 @@ fn gemm_rows(
     }
 }
 
-/// Runs one tile of [`gemm_rows`]: a SIMD stamp through
-/// [`crate::simd::tile`], or the portable 4×8 tile.
+/// Runs one tile of [`gemm_rows`] on the LHS `(a, base, stride, depth)`,
+/// whose entry for tile row `i` and step `p` is `a[base + i·stride +
+/// p·depth]`: a SIMD stamp through [`crate::simd::tile`], or the portable
+/// 4×8 tile.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn run_tile(
     tile: Tile,
-    a: &[f32],
-    a_base: usize,
-    a_stride: usize,
+    (a, base, stride, depth): (&[f32], usize, usize, usize),
     k_len: usize,
     panel: &[f32],
     out: &mut [f32],
@@ -615,21 +678,22 @@ fn run_tile(
     n: usize,
     j0: usize,
 ) {
-    if !crate::simd::tile(tile, a, a_base, a_stride, k_len, panel, out, r, n, j0) {
-        micro_tile_4x8(a, a_base, a_stride, panel, out, r, n, j0);
+    if !crate::simd::tile(tile, a, base, stride, depth, k_len, panel, out, r, n, j0) {
+        micro_tile_4x8(a, base, stride, depth, panel, out, r, n, j0);
     }
 }
 
-/// The portable 4×8 micro-tile ([`Tile::Portable`]), LHS rows `a_stride`
-/// apart. Fixed-size arrays keep the 32 accumulators in vector registers;
-/// each output element has one accumulator fed `acc + a·b` in ascending
-/// `p`, the reference's chain.
+/// The portable 4×8 micro-tile ([`Tile::Portable`]) on the LHS entries
+/// `a[a_base + i·a_stride + p·a_depth]`. Fixed-size arrays keep the 32
+/// accumulators in vector registers; each output element has one
+/// accumulator fed `acc + a·b` in ascending `p`, the reference's chain.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_tile_4x8(
     a: &[f32],
     a_base: usize,
     a_stride: usize,
+    a_depth: usize,
     panel: &[f32],
     out: &mut [f32],
     r: usize,
@@ -640,7 +704,7 @@ fn micro_tile_4x8(
     for (p, brow) in panel.chunks_exact(JR).enumerate() {
         let brow: &[f32; JR] = brow.try_into().expect("panel row width");
         for (ir, accr) in acc.iter_mut().enumerate() {
-            let av = a[a_base + ir * a_stride + p];
+            let av = a[a_base + ir * a_stride + p * a_depth];
             for (slot, &bv) in accr.iter_mut().zip(brow) {
                 *slot += av * bv;
             }
@@ -653,12 +717,12 @@ fn micro_tile_4x8(
 
 /// The unpacked row-streaming (axpy) GEMM used for skinny / tiny products,
 /// e.g. the `[1, 154]` predictor queries, and as the portable body of the
-/// sparse dispatch ([`gemm_sparse`]). Same accumulation order as the
-/// packed kernel: ascending `p` per output element. The row update
-/// vectorizes across columns when `use_simd` is set — identical bits, see
-/// [`crate::simd`].
+/// sparse dispatch ([`gemm_sparse`]), for either layout of the left
+/// operand. Same accumulation order as the packed kernel: ascending `p`
+/// per output element. The row update vectorizes across columns when
+/// `use_simd` is set — identical bits, see [`crate::simd`].
 fn gemm_axpy(
-    a: &[f32],
+    lhs: Lhs,
     b: &[f32],
     k: usize,
     n: usize,
@@ -667,23 +731,46 @@ fn gemm_axpy(
     out: &mut [f32],
 ) {
     let fast = crate::mode::fast_active();
-    let rows = out.len() / n;
-    for r in 0..rows {
-        let arow = &a[(first_row + r) * k..(first_row + r + 1) * k];
-        let orow = &mut out[r * n..(r + 1) * n];
+    for (r, orow) in out.chunks_exact_mut(n).enumerate() {
+        let row = &lhs.a[(first_row + r) * lhs.row..];
         orow.fill(0.0);
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                // Adding `±0.0 * b` never changes an accumulator that started
-                // at +0.0 (it can never have become -0.0), so the skip is a
-                // pure speedup for the sparse one-hot rows the search emits.
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            if !crate::simd::axpy_row(use_simd, fast, orow, brow, av) {
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
+        if lhs.row_major() {
+            axpy_terms(&row[..k], b, n, use_simd, fast, orow);
+        } else {
+            axpy_terms(
+                row.iter().step_by(lhs.depth).take(k),
+                b,
+                n,
+                use_simd,
+                fast,
+                orow,
+            );
+        }
+    }
+}
+
+/// Adds `av·b[p]` into the output row `orow` for each nonzero `av` of
+/// `entries`, the output row's terms in ascending `p`: the body of
+/// [`gemm_axpy`], kept generic so a contiguous row iterates as a slice.
+fn axpy_terms<'a>(
+    entries: impl IntoIterator<Item = &'a f32>,
+    b: &[f32],
+    n: usize,
+    use_simd: bool,
+    fast: bool,
+    orow: &mut [f32],
+) {
+    for (p, &av) in entries.into_iter().enumerate() {
+        if av == 0.0 {
+            // Adding `±0.0 * b` never changes an accumulator that started
+            // at +0.0 (it can never have become -0.0), so the skip is a
+            // pure speedup for the sparse one-hot rows the search emits.
+            continue;
+        }
+        let brow = &b[p * n..(p + 1) * n];
+        if !crate::simd::axpy_row(use_simd, fast, orow, brow, av) {
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
             }
         }
     }
@@ -711,14 +798,17 @@ fn sparse_nonzeros(a: &[f32], n: usize) -> Option<usize> {
     Some(nonzeros)
 }
 
-/// The strict zero-skipping GEMM `out = a · b` for a sparse `a` (`[m, k]`,
-/// `nonzeros` of its entries nonzero), split by output rows like the packed
-/// path. Each chunk of rows runs [`crate::simd::sparse_rows`] (accumulators
-/// in registers) or, with SIMD off, [`gemm_axpy`]; both add `a[i][p]·b[p][j]`
-/// only for nonzero `a[i][p]`, in ascending `p`, from `+0.0` — the packed
-/// kernel's chain without its `±0.0` terms, so the bits match it.
+/// The strict zero-skipping GEMM `out = a · b` for a sparse left operand
+/// (`nonzeros` of its entries nonzero), split by output rows like the
+/// packed path. With SIMD on, each chunk of rows runs the widest stamp
+/// this CPU has of the zero-skipping body: its gather form on a row-major
+/// operand, its scatter form on the transpose of a stored one. With SIMD
+/// off it runs [`gemm_axpy`] on the operand's strides. Each adds
+/// `a[i][p]·b[p][j]` only for nonzero `a[i][p]`, in ascending `p`, from
+/// `+0.0` — the packed kernel's chain without its `±0.0` terms, so the
+/// bits match it.
 fn gemm_sparse(
-    a: &[f32],
+    lhs: Lhs,
     b: &[f32],
     k: usize,
     n: usize,
@@ -732,12 +822,17 @@ fn gemm_sparse(
     } else {
         num_threads()
     };
+    let stamp = crate::simd::SparseStamp::widest(use_simd);
     let rows_per = m.div_ceil(threads.clamp(1, m));
     par_chunks(out, rows_per * n, threads, |gi, chunk| {
-        let first = gi * rows_per;
-        let rows = &a[first * k..(first + chunk.len() / n) * k];
-        if !crate::simd::sparse_rows(use_simd, rows, k, b, n, chunk) {
-            gemm_axpy(a, b, k, n, first, false, chunk);
+        let rows = gi * rows_per..gi * rows_per + chunk.len() / n;
+        match stamp {
+            Some(stamp) if lhs.row_major() => {
+                let a = &lhs.a[rows.start * k..rows.end * k];
+                crate::simd::sparse_gather(stamp, a, k, b, n, chunk);
+            }
+            Some(stamp) => crate::simd::sparse_scatter(stamp, lhs.a, m, rows, b, n, chunk),
+            None => gemm_axpy(lhs, b, k, n, rows.start, false, chunk),
         }
     });
 }
@@ -973,16 +1068,21 @@ mod tests {
         set_num_threads(before);
     }
 
-    /// Row-major `src` (`[rows, cols]`) transposed, as a tensor.
-    fn transposed(src: &Tensor) -> Tensor {
-        let (rows, cols) = (src.shape().dim(0), src.shape().dim(1));
+    /// Row-major `src` (`[rows, cols]`) transposed.
+    fn transposed_vec(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         let mut t = vec![0.0f32; rows * cols];
         for i in 0..rows {
             for j in 0..cols {
-                t[j * rows + i] = src.as_slice()[i * cols + j];
+                t[j * rows + i] = src[i * cols + j];
             }
         }
-        Tensor::from_vec(t, &[cols, rows])
+        t
+    }
+
+    /// Row-major `src` (`[rows, cols]`) transposed, as a tensor.
+    fn transposed(src: &Tensor) -> Tensor {
+        let (rows, cols) = (src.shape().dim(0), src.shape().dim(1));
+        Tensor::from_vec(transposed_vec(src.as_slice(), rows, cols), &[cols, rows])
     }
 
     #[test]
@@ -1063,7 +1163,8 @@ mod tests {
     /// bit for bit.
     fn packed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, use_simd: bool) -> Vec<f32> {
         let mut out = vec![f32::NAN; m * n];
-        gemm_tiled(a, b, m, k, n, tile_for(use_simd, false, m, n), &mut out);
+        let tile = tile_for(use_simd, false, m, n);
+        gemm_tiled(Lhs::rows(a, k), b, m, k, n, tile, &mut out);
         out
     }
 
@@ -1074,8 +1175,10 @@ mod tests {
         // `matmul_ref`'s bits: whole and short row blocks of the 4- and
         // 8-row tiles, outputs narrower than, as wide as and past each panel
         // width, depth 1 and 300, at 1, 2 and 4 threads (the 255-row
-        // products from 31 columns up cross the parallel threshold). A tile
-        // the CPU lacks is left out, so its cases are vacuous there.
+        // products from 31 columns up cross the parallel threshold), on a
+        // row-major left operand and on the transpose of a stored one, read
+        // in place through its strides. A tile the CPU lacks is left out,
+        // so its cases are vacuous there.
         let _guard = THREAD_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let tiles: Vec<Tile> = [Tile::Portable, Tile::Avx2, Tile::Avx512Strict]
             .into_iter()
@@ -1089,13 +1192,20 @@ mod tests {
                     let a = Tensor::uniform(&[m, k], -1.0, 1.0, seed);
                     let b = Tensor::uniform(&[k, n], -1.0, 1.0, seed + 1);
                     let want = matmul_ref(&a, &b);
+                    let a_t = transposed_vec(a.as_slice(), m, k);
+                    let layouts = [
+                        ("a·b", Lhs::rows(a.as_slice(), k)),
+                        ("aᵀ·b", Lhs::columns(&a_t, m)),
+                    ];
                     for &tile in &tiles {
                         for threads in [1, 2, 4] {
                             set_num_threads(threads);
-                            let mut got = vec![f32::NAN; m * n];
-                            gemm_tiled(a.as_slice(), b.as_slice(), m, k, n, tile, &mut got);
-                            let what = format!("{tile:?} {m}x{k}x{n} threads={threads}");
-                            assert_bits_eq(&got, want.as_slice(), &what);
+                            for (name, lhs) in layouts {
+                                let mut got = vec![f32::NAN; m * n];
+                                gemm_tiled(lhs, b.as_slice(), m, k, n, tile, &mut got);
+                                let what = format!("{name} {tile:?} {m}x{k}x{n} threads={threads}");
+                                assert_bits_eq(&got, want.as_slice(), &what);
+                            }
                         }
                     }
                 }
@@ -1136,34 +1246,66 @@ mod tests {
                     (true, false) => strict,
                     (true, true) => fused,
                 };
-                let got = kernel_for(a.as_slice(), m, k, n, use_simd, fast);
-                assert_eq!(got, Kernel::Tiled(want), "{m}x{k}x{n} {tier}");
+                // Both layouts of the same operand choose alike.
+                for lhs in [Lhs::rows(a.as_slice(), k), Lhs::columns(a.as_slice(), m)] {
+                    let got = kernel_for(lhs, m, k, n, use_simd, fast);
+                    assert_eq!(got, Kernel::Tiled(want), "{m}x{k}x{n} {tier} {lhs:?}");
+                }
             }
             let flat = vec![0.5f32; 64 * k];
-            assert_eq!(kernel_for(&flat, 3, k, 64, use_simd, fast), Kernel::Axpy);
-            assert_eq!(kernel_for(&flat, 4, 8, 64, use_simd, fast), Kernel::Axpy);
-            assert_eq!(kernel_for(&flat, 64, k, 1, use_simd, fast), Kernel::OneRow);
             let sparse = one_hot(64);
-            assert_eq!(
-                kernel_for(&sparse, 64, 154, 32, use_simd, fast),
-                Kernel::Sparse(64 * 22),
-                "{tier}"
-            );
-            assert!(
-                matches!(
-                    kernel_for(&sparse, 64, 154, 31, use_simd, fast),
-                    Kernel::Tiled(_)
-                ),
-                "a narrow output stays on the tile whatever the density ({tier})"
-            );
+            // (lhs, m, k, n, kernel): one column from two rows on at every
+            // size, then the tiny rule, then the density rule.
+            let choices = [
+                (&flat, 64, k, 1, Kernel::OneRow),
+                (&flat, 2, 4, 1, Kernel::OneRow),
+                (&flat, 1, k, 1, Kernel::Axpy),
+                (&flat, 3, k, 64, Kernel::Axpy),
+                (&flat, 4, 8, 64, Kernel::Axpy),
+                (&sparse, 64, 154, 32, Kernel::Sparse(64 * 22)),
+                (&sparse, 64, 154, 1, Kernel::OneRow),
+            ];
+            for (a, m, k, n, want) in choices {
+                let a = &a[..m * k];
+                for lhs in [Lhs::rows(a, k), Lhs::columns(a, m)] {
+                    let got = kernel_for(lhs, m, k, n, use_simd, fast);
+                    assert_eq!(got, want, "{m}x{k}x{n} {tier} {lhs:?}");
+                }
+            }
+            for lhs in [Lhs::rows(&sparse, 154), Lhs::columns(&sparse, 64)] {
+                assert!(
+                    matches!(
+                        kernel_for(lhs, 64, 154, 31, use_simd, fast),
+                        Kernel::Tiled(_)
+                    ),
+                    "a narrow output stays on the tile whatever the density ({tier})"
+                );
+            }
         }
     }
 
-    /// The zero-skipping kernel on `a · b`, called directly.
+    /// The zero-skipping kernel on `a · b`, called directly: its gather
+    /// form on `a` (`[m, k]`), then its scatter form on `a` stored
+    /// transposed. Asserts the two agree bit for bit and returns the
+    /// gather form's output.
     fn sparse(a: &[f32], b: &[f32], k: usize, n: usize, use_simd: bool) -> Vec<f32> {
+        let m = a.len() / k;
         let nonzeros = a.iter().filter(|&&v| v != 0.0).count();
-        let mut out = vec![f32::NAN; a.len() / k * n];
-        gemm_sparse(a, b, k, n, nonzeros, use_simd, &mut out);
+        let mut out = vec![f32::NAN; m * n];
+        gemm_sparse(Lhs::rows(a, k), b, k, n, nonzeros, use_simd, &mut out);
+        let a_t = transposed_vec(a, m, k);
+        let mut scattered = vec![f32::NAN; m * n];
+        gemm_sparse(
+            Lhs::columns(&a_t, m),
+            b,
+            k,
+            n,
+            nonzeros,
+            use_simd,
+            &mut scattered,
+        );
+        let what = format!("scatter {m}x{k}x{n} simd={use_simd}");
+        assert_bits_eq(&scattered, &out, &what);
         out
     }
 

@@ -198,46 +198,101 @@ fn strict_products_store_reference_bits_at_every_thread_count() {
             }
         }
     }
+    // `aᵀ·b` reads `a` in place: one-hot 154-wide stored operands take the
+    // zero-skipping kernel's scatter form from 32 output columns on (the
+    // 1,024-row one splits it across the 2- and 4-thread runs), dense ones
+    // of 37 and 131 columns the strided tile with a short last row block,
+    // and 16-column outputs the tile whatever the density.
+    let one_hot_rows = [8, 32, 255, 256, 512, 1024];
+    let tn_cases = one_hot_rows
+        .into_iter()
+        .map(|d| (d, 154, true))
+        .chain([(300, 37, false), (300, 131, false)]);
+    for (d, m, one_hot) in tn_cases {
+        let a = if one_hot {
+            one_hot_rows_of(d)
+        } else {
+            Tensor::uniform(&[d, m], -1.0, 1.0, (d * 7 + m) as u64)
+        };
+        let a_t = a.transpose();
+        for n in [16, 40, 64, 128, 130] {
+            if d == 1024 && n != 128 {
+                continue;
+            }
+            let b = Tensor::uniform(&[d, n], -1.0, 1.0, (d * 13 + n) as u64);
+            let want = fnv(kernels::matmul_ref(&a_t, &b).as_slice());
+            for simd in [true, false] {
+                lightnas_tensor::set_simd_enabled(simd);
+                for threads in [1, 2, 4] {
+                    kernels::set_num_threads(threads);
+                    let mut out = vec![f32::NAN; m * n];
+                    kernels::matmul_tn_into(a.as_slice(), b.as_slice(), d, m, n, &mut out);
+                    let what = format!("aᵀ·b {d}x{m}ᵀ·{n} simd={simd} threads={threads}");
+                    assert_eq!(fnv(&out), want, "{what}");
+                }
+            }
+        }
+    }
     kernels::set_num_threads(threads_before);
     lightnas_tensor::set_simd_enabled(simd_before);
 }
 
+/// `rows` one-hot encodings of the search's width: 22 layers of 7 ops.
+fn one_hot_rows_of(rows: usize) -> Tensor {
+    let k = 22 * 7;
+    let mut x = vec![0.0f32; rows * k];
+    for i in 0..rows {
+        for layer in 0..22 {
+            x[i * k + layer * 7 + (i * 3 + layer) % 7] = 1.0;
+        }
+    }
+    Tensor::from_vec(x, &[rows, k])
+}
+
 #[test]
 fn one_column_products_skip_zero_entries_of_b() {
-    // A one-column product runs as its one-row transpose, whose axpy loop
-    // skips the zero entries of `b` where `matmul_ref` skips those of `a`.
-    // For finite operands both leave out only `±0.0` terms. With `inf` in
-    // `a` against a zero in `b` the reference's sum turns NaN, and every
-    // entry point leaves the term out, as if `a`'s entry were 0, with SIMD
-    // on and off: this pins that difference (`matmul_into`'s docs).
+    // A one-column product of two rows or more runs as its one-row
+    // transpose at every size, whose axpy loop skips the zero entries of
+    // `b` where `matmul_ref` skips those of `a`. For finite operands both
+    // leave out only `±0.0` terms. With `inf` in `a` against a zero in `b`
+    // the reference's sum turns NaN, and every entry point leaves the term
+    // out, as if `a`'s entry were 0, with SIMD on and off: this pins that
+    // difference (`matmul_into`'s docs), past the tiny-product rule and
+    // below it.
     let _guard = knob_lock().lock().unwrap();
     let simd_before = lightnas_tensor::simd_enabled();
-    let (m, k) = (64, 96); // past the tiny-product rule
-    let mut a = Tensor::uniform(&[m, k], -1.0, 1.0, 41).as_slice().to_vec();
-    let mut b = Tensor::uniform(&[k, 1], -1.0, 1.0, 42).as_slice().to_vec();
-    b[5] = 0.0;
-    let b = Tensor::from_vec(b, &[k, 1]);
-    a[3 * k + 5] = 0.0;
-    let want = kernels::matmul_ref(&Tensor::from_vec(a.clone(), &[m, k]), &b);
-    a[3 * k + 5] = f32::INFINITY;
-    let a = Tensor::from_vec(a, &[m, k]);
-    assert!(
-        kernels::matmul_ref(&a, &b).as_slice()[3].is_nan(),
-        "the reference adds inf·0"
-    );
-    assert!(want.as_slice()[3].is_finite());
-    let (a_t, b_t) = (a.transpose(), b.transpose());
-    for simd in [true, false] {
-        lightnas_tensor::set_simd_enabled(simd);
-        let mut out = vec![f32::NAN; m];
-        kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, 1, &mut out);
-        assert_eq!(fnv(&out), fnv(want.as_slice()), "a·b simd={simd}");
-        out.fill(f32::NAN);
-        kernels::matmul_nt_into(a.as_slice(), b_t.as_slice(), m, k, 1, &mut out);
-        assert_eq!(fnv(&out), fnv(want.as_slice()), "a·bᵀ simd={simd}");
-        out.fill(f32::NAN);
-        kernels::matmul_tn_into(a_t.as_slice(), b.as_slice(), k, m, 1, &mut out);
-        assert_eq!(fnv(&out), fnv(want.as_slice()), "aᵀ·b simd={simd}");
+    for (m, k) in [(64, 96), (3, 8)] {
+        assert!(
+            m < 4 || m * k >= 4096,
+            "{m}x{k}: on one side of the tiny rule"
+        );
+        let mut a = Tensor::uniform(&[m, k], -1.0, 1.0, 41).as_slice().to_vec();
+        let mut b = Tensor::uniform(&[k, 1], -1.0, 1.0, 42).as_slice().to_vec();
+        b[5] = 0.0;
+        let b = Tensor::from_vec(b, &[k, 1]);
+        a[k + 5] = 0.0;
+        let want = kernels::matmul_ref(&Tensor::from_vec(a.clone(), &[m, k]), &b);
+        a[k + 5] = f32::INFINITY;
+        let a = Tensor::from_vec(a, &[m, k]);
+        assert!(
+            kernels::matmul_ref(&a, &b).as_slice()[1].is_nan(),
+            "the reference adds inf·0"
+        );
+        assert!(want.as_slice()[1].is_finite());
+        let (a_t, b_t) = (a.transpose(), b.transpose());
+        for simd in [true, false] {
+            lightnas_tensor::set_simd_enabled(simd);
+            let what = format!("{m}x{k}x1 simd={simd}");
+            let mut out = vec![f32::NAN; m];
+            kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, 1, &mut out);
+            assert_eq!(fnv(&out), fnv(want.as_slice()), "a·b {what}");
+            out.fill(f32::NAN);
+            kernels::matmul_nt_into(a.as_slice(), b_t.as_slice(), m, k, 1, &mut out);
+            assert_eq!(fnv(&out), fnv(want.as_slice()), "a·bᵀ {what}");
+            out.fill(f32::NAN);
+            kernels::matmul_tn_into(a_t.as_slice(), b.as_slice(), k, m, 1, &mut out);
+            assert_eq!(fnv(&out), fnv(want.as_slice()), "aᵀ·b {what}");
+        }
     }
     lightnas_tensor::set_simd_enabled(simd_before);
 }
